@@ -9,7 +9,6 @@ informational and do not affect the status.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import random
 import sys
@@ -475,6 +474,10 @@ def _emit_many(reports: Sequence[Report], fmt: str) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        # the sampled checks would pass with no point evaluated
+        sys.stderr.write(f"error: --samples must be at least 1, got {args.samples}\n")
+        return 2
     if args.manifest:
         model, _bindings = load_manifest(args.manifest)
         models = [model]
@@ -482,15 +485,7 @@ def _cmd_verify(args) -> int:
         models = [get_model(tag) for tag in catalog.TAGS]
     else:
         models = [get_model(args.group)]
-    if len(models) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [
-                pool.submit(run_verification, m, args.samples, args.seed + i)
-                for i, m in enumerate(models)
-            ]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [run_verification(models[0], args.samples, args.seed)]
+    reports = [run_verification(m, args.samples, args.seed + i) for i, m in enumerate(models)]
     sys.stdout.write(_emit_many(reports, args.format))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -543,7 +538,7 @@ def _cmd_simulate(args) -> int:
     inst = dynamics.standard_instance(model, bindings=bindings or None)
     states = dynamics.random_initial_states(model, 1, seed=args.seed)
     try:
-        traj = dynamics.integrate(inst, states[0], (0.0, args.tau), args.tol)
+        traj = dynamics.integrate(inst, states[0], (0.0, args.tau), args.tol, args.max_steps)
     except dynamics.IntegrationError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
@@ -559,6 +554,10 @@ def _cmd_simulate(args) -> int:
     drifts = dynamics.conserved_drift(traj, inst)
     sys.stderr.write(
         "drift: " + ", ".join(f"{k}={v:.3e}" for k, v in drifts.items()) + "\n"
+    )
+    sys.stderr.write(
+        f"steps: accepted={traj.accepted}, rejected={traj.rejected}, "
+        f"rhs_evals={traj.rhs_evals}, h_min={traj.h_min:.3e}, h_max={traj.h_max:.3e}\n"
     )
     return 0
 
@@ -630,6 +629,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--tau", type=float, default=10.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--max-steps", type=int, default=20_000,
+        help="step budget (accepted plus rejected); exceeding it exits 2",
+    )
     p.add_argument("--bindings", help="manifest whose [bindings] section overrides the standard ones")
     p.add_argument("--out", help="write the trajectory table to this file")
     p.set_defaults(func=_cmd_simulate)

@@ -1,18 +1,24 @@
 """Charged test-particle trajectories and conservation checks.
 
-The canonical equations are integrated with an embedded Verner 6(5) pair.
-Metric and potential derivatives are exact: the symbolic entries are
-compiled to fast numeric kernels after substituting concrete bindings for
-the abstract functions of u0, and the inverse-metric gradient uses the
-closed form d(g^-1) = -g^-1 dg g^-1.  The monitored quantities are the
-Hamiltonian and the three generator contractions xi_a^i p_i.
+The canonical equations of H = g^ij P_i P_j, P = p + A, are integrated with
+an embedded Verner 6(5) pair.  Metric and potential derivatives are exact:
+after concrete bindings are substituted for the abstract functions of u0,
+the symbolically nonzero entries of g, A, dg, dA and the frame xi are
+compiled in one ``compile_numeric`` call, and each instance generates one
+straight-line kernel around it.  The kernel inverts g by cofactors with
+every zero entry folded away at generation time, and uses the closed form
+d(g^-1) = -g^-1 dg g^-1, so dp_k = v.(d_k g).v - 2 v.(d_k A) with
+v = g^-1 P.  The monitored quantities are the Hamiltonian and the three
+generator contractions xi_a^i p_i.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +53,12 @@ def standard_bindings() -> Dict[str, Expr]:
     makes A_3 a uniform field whose exact flow grows like exp(2 tau) and
     leaves double range before tau = 10.
     """
+    return dict(_standard_binding_items())
+
+
+@functools.lru_cache(maxsize=1)
+def _standard_binding_items() -> Tuple[Tuple[str, Expr], ...]:
+    # parsed once: every standard_instance starts from these
     b = {
         "alpha0": parse("sin(u0)"),
         "beta0": parse("cos(u0)"),
@@ -55,7 +67,115 @@ def standard_bindings() -> Dict[str, Expr]:
     for s in range(1, 4):
         for t in range(s, 4):
             b[f"a{s}{t}"] = ex.number(-1 if s == t else 0)
-    return b
+    return tuple(b.items())
+
+
+# -- the flow kernel ---------------------------------------------------------
+#
+# The bound g, A and frame are sparse (g has 4-10 nonzero entries of 16), so
+# each instance generates its kernel as straight-line source in which every
+# symbolically zero entry is folded away.  Entry names in that source:
+# g01 = g_01 (upper triangle only, g is symmetric), a1 = A_1,
+# dg2_01 = d_2 g_01, da2_1 = d_2 A_1, xi0_3 = component 3 of the first
+# generator.
+
+
+def _product(*factors: Optional[str]) -> Optional[str]:
+    """Source of a product, or None when a factor is zero."""
+    if None in factors:
+        return None
+    return "*".join(factors)
+
+
+def _signed_sum(terms) -> Optional[str]:
+    """Source of a sum of (sign, source or None) terms, or None when all are zero."""
+    out = ""
+    for sign, src in terms:
+        if src is not None:
+            out += ("-" if sign < 0 else "+" if out else "") + src
+    return out or None
+
+
+# the permutations of three with their signs, for 3x3 minors
+_PERMUTATIONS = tuple(
+    (perm, -1 if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 else 1)
+    for perm in itertools.permutations(range(3))
+)
+
+
+def _kernel_source(names: Sequence[str]) -> str:
+    """Source of ``_kernel`` over the nonzero entries ``names``.
+
+    ``_kernel(u0..u3, p0..p3, flow)`` starts from v = g^-1 P with P = p + A,
+    where g^-1 is the adjugate (cofactors) over the determinant.  With
+    ``flow`` true it returns the canonical flow du = 2v,
+    dp_k = v.(d_k g).v - 2 v.(d_k A); otherwise the invariants H = P.v and
+    Y_b = xi_b.p.  It expects ``_values`` (the entries in ``names`` order),
+    ``isfinite`` and ``IntegrationError`` in its globals.
+    """
+    present = set(names)
+
+    def entry(name: str) -> Optional[str]:
+        return name if name in present else None
+
+    g = [[entry(f"g{min(i, j)}{max(i, j)}") for j in range(4)] for i in range(4)]
+    lines = [
+        "def _kernel(u0, u1, u2, u3, p0, p1, p2, p3, flow):",
+        f"    {', '.join(names)}, = _values(u0, u1, u2, u3)",
+    ]
+
+    def assign(name: str, src: Optional[str]) -> Optional[str]:
+        if src is not None:
+            lines.append(f"    {name} = {src}")
+            return name
+        return None
+
+    # a non-finite entry makes the sum non-finite; so does a sum that
+    # overflows, which needs entries near the double limit
+    metric = [n for n in names if n.startswith(("g", "dg"))]
+    lines += [
+        f"    if not isfinite({'+'.join(metric) or '0.0'}):",
+        "        raise IntegrationError('state left the representable domain: non-finite metric')",
+    ]
+    # adj_ij = (-1)^(i+j) times the minor of g without row j and column i
+    adj = {}
+    for i in range(4):
+        for j in range(i, 4):
+            rows = [g[r] for r in range(4) if r != j]
+            cols = [c for c in range(4) if c != i]
+            terms = (
+                (sign * (-1) ** (i + j), _product(*(row[cols[c]] for row, c in zip(rows, perm))))
+                for perm, sign in _PERMUTATIONS
+            )
+            adj[i, j] = adj[j, i] = assign(f"b{i}{j}", _signed_sum(terms))
+    det = _signed_sum((1, _product(g[0][j], adj[j, 0])) for j in range(4))
+    lines += [
+        f"    det = {det or '0.0'}",
+        "    if det == 0.0:",
+        "        raise IntegrationError(f'metric singular at u = {[u0, u1, u2, u3]}')",
+        "    if not isfinite(det):",
+        "        raise IntegrationError('state left the representable domain: non-finite metric determinant')",
+    ]
+    P = [assign(f"P{i}", f"p{i}+a{i}") if entry(f"a{i}") else f"p{i}" for i in range(4)]
+    v = []
+    for i in range(4):
+        src = _signed_sum((1, _product(adj[i, j], P[j])) for j in range(4))
+        v.append(assign(f"v{i}", src and f"({src})/det"))
+    h = _signed_sum((1, _product(P[i], v[i])) for i in range(4))
+    ys = [_signed_sum((1, _product(entry(f"xi{b}_{i}"), f"p{i}")) for i in range(4)) for b in range(3)]
+    lines.append("    if not flow:")
+    lines.append(f"        return [{', '.join(src or '0.0' for src in [h] + ys)}]")
+    w = [assign(f"w{i}", _product("2.0", v[i])) for i in range(4)]  # w = 2v = du
+    dp = []
+    for k in range(4):
+        terms = []
+        for i in range(4):
+            terms.append((1, _product(entry(f"dg{k}_{i}{i}"), v[i], v[i])))
+            terms += [(1, _product(entry(f"dg{k}_{i}{j}"), w[i], v[j])) for j in range(i + 1, 4)]
+            terms.append((-1, _product(entry(f"da{k}_{i}"), w[i])))
+        dp.append(_signed_sum(terms))
+    lines.append(f"    return [{', '.join(src or '0.0' for src in w + dp)}]")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -73,82 +193,62 @@ class ModelInstance:
 
     def __post_init__(self):
         metric = self.model.metric
-        pot = self.model.potential
-        g_exprs = []
-        for i in range(4):
-            for j in range(4):
-                g_exprs.append(self._bind(metric[i, j]))
-        a_exprs = [self._bind(pot[i]) for i in range(4)]
-        dg_exprs = [differentiate(e, k) for k in range(4) for e in g_exprs]
-        da_exprs = [differentiate(e, k) for k in range(4) for e in a_exprs]
-        xi_exprs = [self._bind(c) for f in self.model.frame for c in f]
-        self._needed_params = set()
-        for e in g_exprs + a_exprs + dg_exprs + da_exprs + xi_exprs:
+        fields = {f"g{i}{j}": self._bind(metric[i, j]) for i in range(4) for j in range(i, 4)}
+        fields.update((f"a{i}", self._bind(e)) for i, e in enumerate(self.model.potential))
+        entries = dict(fields)
+        for name, e in fields.items():
+            if e:
+                entries.update((f"d{name[0]}{k}_{name[1:]}", differentiate(e, k)) for k in range(4))
+        for b, f in enumerate(self.model.frame):
+            entries.update((f"xi{b}_{i}", self._bind(c)) for i, c in enumerate(f))
+        entries = {name: e for name, e in entries.items() if e}
+        needed = set()
+        for e in entries.values():
             sym = free_symbols(e)
             if sym["funcs"]:
                 missing = sorted(str(f) for f in sym["funcs"])
                 raise IntegrationError(f"unbound function symbols: {missing}")
-            self._needed_params |= sym["params"]
-        missing = self._needed_params - set(self.params)
+            needed |= sym["params"]
+        missing = needed - set(self.params)
         if missing:
             raise IntegrationError(f"unbound parameters: {sorted(missing)}")
-        self._ga = ex.compile_numeric(g_exprs + a_exprs, self.params)
-        self._dgda = ex.compile_numeric(dg_exprs + da_exprs, self.params)
-        self._xi = ex.compile_numeric(xi_exprs, self.params)
+        scope = {
+            "_values": ex.compile_numeric(list(entries.values()), self.params),
+            "isfinite": math.isfinite,
+            "IntegrationError": IntegrationError,
+        }
+        exec(_kernel_source(list(entries)), scope)  # noqa: S102 - generated from the entry names
+        self._kernel = scope["_kernel"]
 
     def _bind(self, e: Expr) -> Expr:
         return substitute(e, funcs=self.bindings)
 
-    # -- numeric kernels ------------------------------------------------------
-
-    def metric_and_potential(self, u):
-        out = self._ga(float(u[0]), float(u[1]), float(u[2]), float(u[3]))
-        g = np.array(out[:16]).reshape(4, 4)
-        a = np.array(out[16:20])
-        return g, a
-
-    def gradients(self, u):
-        out = self._dgda(float(u[0]), float(u[1]), float(u[2]), float(u[3]))
-        dg = np.array(out[:64]).reshape(4, 4, 4)
-        da = np.array(out[64:80]).reshape(4, 4)
-        return dg, da
-
-    def generators(self, u):
-        out = self._xi(float(u[0]), float(u[1]), float(u[2]), float(u[3]))
-        return np.array(out).reshape(3, 4)
-
-    def rhs(self, y):
-        u = [float(v) for v in y[:4]]
-        p = y[4:]
+    def _call(self, y, flow: bool) -> list:
+        args = np.asarray(y, dtype=float).tolist()
         try:
-            g, a = self.metric_and_potential(u)
-            dg, da = self.gradients(u)
+            return self._kernel(*args, flow)
         except (OverflowError, ValueError) as err:
             raise IntegrationError(f"state left the representable domain: {err}") from None
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(dg))):
-            raise IntegrationError("state left the representable domain: non-finite metric")
-        try:
-            ginv = np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            raise IntegrationError(f"metric singular at u = {u}") from None
-        P = p + a
-        du = 2.0 * ginv @ P
-        # d(g^-1)/du_i = -g^-1 dg_i g^-1; dp_i = P (g^-1 dg_i g^-1) P - 2 (g^-1 P) . dA_i
-        temp = np.einsum("ab,ibc,cd->iad", ginv, dg, ginv)
-        dp = np.einsum("iab,a,b->i", temp, P, P) - 2.0 * da @ (ginv @ P)
-        return np.concatenate((du, dp))
+        except ZeroDivisionError:
+            # the kernel evaluates the frame too, which may divide by zero
+            # where the chart degenerates (the rotation chart at u1 = 0)
+            raise IntegrationError(
+                f"metric singular at u = {args[:4]}: a metric or frame entry divides by zero"
+            ) from None
+
+    def rhs(self, y) -> np.ndarray:
+        """The canonical flow (du, dp) at the phase-space point y = (u, p)."""
+        return np.array(self._call(y, True))
+
+    def invariants(self, y) -> List[float]:
+        """[H, Y1, Y2, Y3] at y, from one kernel evaluation."""
+        return self._call(y, False)
 
     def hamiltonian(self, y) -> float:
-        u = y[:4]
-        p = y[4:]
-        g, a = self.metric_and_potential(u)
-        ginv = np.linalg.inv(g)
-        P = p + a
-        return float(P @ ginv @ P)
+        return self.invariants(y)[0]
 
     def integrals(self, y) -> np.ndarray:
-        xi = self.generators(y[:4])
-        return xi @ y[4:]
+        return np.array(self.invariants(y)[1:])
 
 
 def standard_instance(model: BianchiModel, bindings: Optional[Mapping[str, Expr]] = None,
@@ -180,11 +280,21 @@ class PhaseState:
 
 @dataclass
 class Trajectory:
+    """Accepted states with the integrator's statistics.
+
+    ``rhs_evals`` counts right-hand-side evaluations (one, then eight per
+    attempted step); ``h_min`` and ``h_max`` bound |h| over the accepted
+    steps.
+    """
+
     taus: List[float]
     states: List[np.ndarray]
     accepted: int = 0
     rejected: int = 0
     tolerance: float = 0.0
+    rhs_evals: int = 0
+    h_min: float = math.inf
+    h_max: float = 0.0
 
     def final_state(self) -> PhaseState:
         return PhaseState.from_vector(self.states[-1])
@@ -252,7 +362,7 @@ def integrate(
     t = t0
     hmax = _hmax(tol)
     h = direction * min(hmax, abs(t1 - t0) / 10.0)
-    traj = Trajectory(taus=[t0], states=[y.copy()], tolerance=tol)
+    traj = Trajectory(taus=[t0], states=[y.copy()], tolerance=tol, rhs_evals=1)
     k = [None] * 9
     k0 = inst.rhs(y)
     span = abs(t1 - t0)
@@ -269,6 +379,7 @@ def integrate(
                 if a:
                     ys += (h * a) * k[j]
             k[s] = inst.rhs(ys)
+        traj.rhs_evals += 8
         ynew = y.copy()
         for j, b in enumerate(_V65_B):
             if b:
@@ -286,6 +397,8 @@ def integrate(
             traj.taus.append(t)
             traj.states.append(y.copy())
             traj.accepted += 1
+            traj.h_min = min(traj.h_min, abs(h))
+            traj.h_max = max(traj.h_max, abs(h))
         else:
             traj.rejected += 1
             k0 = k[0]
@@ -307,7 +420,7 @@ def conserved_drift(traj: Trajectory, inst: ModelInstance) -> Dict[str, float]:
     ref = None
     worst = dict.fromkeys(names, 0.0)
     for y in traj.states:
-        vals = [inst.hamiltonian(y), *inst.integrals(y)]
+        vals = inst.invariants(y)
         if ref is None:
             ref = vals
             continue
@@ -322,9 +435,7 @@ def trajectory_rows(traj: Trajectory, inst: ModelInstance):
     """Rows (tau, u0..u3, p0..p3, H, Y1..Y3) for delimited-text export."""
     rows = []
     for t, y in zip(traj.taus, traj.states):
-        rows.append(
-            (t, *y.tolist(), inst.hamiltonian(y), *inst.integrals(y).tolist())
-        )
+        rows.append((t, *y.tolist(), *inst.invariants(y)))
     return rows
 
 

@@ -268,10 +268,6 @@ def lf_neg(a):
     return tuple(cp_neg(x) for x in a)
 
 
-def lf_scale(a, r: Fraction):
-    return tuple(cp_scale(x, r) for x in a)
-
-
 def lf_is_zero(a) -> bool:
     return all(not x for x in a)
 

@@ -1,6 +1,7 @@
 """Report generation, manifests and the command-line surface."""
 
 import json
+import time
 
 import pytest
 
@@ -235,6 +236,27 @@ class TestCommandLine:
         assert rc == 2
         assert "error" in err
 
+    def test_simulate_step_budget_stops_runaway(self, capsys, tmp_path):
+        path = tmp_path / "runaway.manifest"
+        path.write_text("[bindings]\ngamma0 = u0\n")
+        start = time.perf_counter()
+        rc = cli.main(["simulate", "--group", "I", "--bindings", str(path), "--max-steps", "2000"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert elapsed < 10.0
+        assert len(err.splitlines()) == 1
+        assert "step budget exhausted at tau = " in err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_verify_rejects_vacuous_samples(self, capsys, samples):
+        rc = cli.main(["verify", "--group", "II", "--samples", samples])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "--samples" in captured.err
+
     def test_simulate_with_binding_overrides(self, capsys, tmp_path):
         path = tmp_path / "bindings.manifest"
         path.write_text("[bindings]\nalpha0 = 0.5*sin(u0)\ngamma0 = 0*u0\n")
@@ -254,3 +276,4 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert rc == 0
         assert "drift" in err
+        assert "steps: accepted=" in err

@@ -75,6 +75,69 @@ class TestHamiltonian:
             ModelInstance(models["V"], bindings={}, params={"e": 1.0})
 
 
+def _reference_flow(inst):
+    """y -> (du, dp, H, Y) from ``evaluate`` on the bound entries, with a
+    numpy inverse and einsum contractions, independent of the kernel."""
+    m = inst.model
+
+    def bind(e):
+        return ex.substitute(e, funcs=inst.bindings)
+
+    g = [[bind(m.metric[i, j]) for j in range(4)] for i in range(4)]
+    pot = [bind(e) for e in m.potential]
+    dg = [[[ex.differentiate(e, k) for e in row] for row in g] for k in range(4)]
+    da = [[ex.differentiate(e, k) for e in pot] for k in range(4)]
+    xi = [[bind(c) for c in f] for f in m.frame]
+
+    def flow(y):
+        a = ex.Assignment(tuple(y[:4]), inst.params)
+        value = np.vectorize(lambda e: ex.evaluate(e, a), otypes=[float])
+        ginv = np.linalg.inv(value(g))
+        P = y[4:] + value(pot)
+        du = 2.0 * ginv @ P
+        dp = np.einsum("a,ab,kbc,cd,d->k", P, ginv, value(dg), ginv, P) - 2.0 * value(da) @ (ginv @ P)
+        return du, dp, float(P @ ginv @ P), value(xi) @ y[4:]
+
+    return flow
+
+
+class TestKernel:
+    """The generated kernel against the numpy reference."""
+
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_matches_numpy_reference(self, models, tag):
+        # VIII has the densest metric derivatives (13 of the 64 are nonzero)
+        m = models[tag]
+        inst = standard_instance(m)
+        reference = _reference_flow(inst)
+        rng = np.random.default_rng(404)
+        for _ in range(4):
+            y = rng.uniform(-0.8, 0.8, size=8)
+            if tag == "IX":
+                y[1] += math.pi / 2  # away from the chart's pole u1 = 0
+            du, dp, h, ys = reference(y)
+            got = inst.rhs(y)
+            for name, value, ref in (("du", got[:4], du), ("dp", got[4:], dp), ("Y", inst.integrals(y), ys)):
+                scale = np.max(np.abs(ref))
+                np.testing.assert_allclose(value, ref, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+            assert inst.hamiltonian(y) == pytest.approx(h, rel=1e-12, abs=1e-12)
+
+    def test_exp_overflow_raises_integration_error(self, models):
+        # type V's metric and potential carry exp(2*u3) and exp(u3)
+        inst = standard_instance(models["V"])
+        y = np.array([0.0, 0.0, 0.0, 800.0, 0.1, 0.1, 0.1, 0.1])
+        for evaluate in (inst.rhs, inst.hamiltonian, inst.integrals):
+            with pytest.raises(IntegrationError, match="representable domain"):
+                evaluate(y)
+
+    def test_non_finite_determinant_raises_integration_error(self, models):
+        # type V's g11 and g22 carry exp(2*u3): finite entries, infinite product
+        inst = standard_instance(models["V"])
+        y = np.array([0.0, 0.0, 0.0, 200.0, 0.1, 0.1, 0.1, 0.1])
+        with pytest.raises(IntegrationError, match="non-finite metric determinant"):
+            inst.rhs(y)
+
+
 class TestFreeMotion:
     def test_momenta_exactly_constant(self, models):
         inst = standard_instance(models["I"], bindings=ZERO_POTENTIAL)
@@ -175,6 +238,17 @@ class TestDiagnostics:
         inst = standard_instance(models["IX"])
         with pytest.raises(IntegrationError, match="metric singular"):
             inst.rhs(np.zeros(8))
+
+    def test_step_statistics(self, models):
+        m = models["IX"]
+        inst = standard_instance(m)
+        st = random_initial_states(m, 1, seed=1)[0]
+        traj = integrate(inst, st, (0.0, 2.0), 1e-10)
+        assert traj.rhs_evals == 1 + 8 * (traj.accepted + traj.rejected)
+        steps = np.abs(np.diff(traj.taus))
+        assert traj.h_min == pytest.approx(steps.min(), rel=1e-9)
+        assert traj.h_max == pytest.approx(steps.max(), rel=1e-9)
+        assert 0.0 < traj.h_min <= traj.h_max <= dynamics._hmax(1e-10)
 
     def test_bad_tolerance(self, models):
         inst = standard_instance(models["I"], bindings=ZERO_POTENTIAL)
