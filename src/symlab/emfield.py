@@ -238,6 +238,7 @@ class KgfChecker:
             funcs |= sym["funcs"]
         self.symbols = tuple(sorted(params)) + tuple(sorted(funcs))
         self._fn = ex.compile_numeric(self._exprs, {}, self.symbols)
+        self._last = (None, {})
 
     def required_symbols(self):
         return self.symbols
@@ -284,34 +285,51 @@ class KgfChecker:
         s2 = sdiv + (aginv @ aa) @ np.abs(chi)
         return f1, f2, s1, s2
 
+    def _stencil(self, coords, vals, i):
+        """(d1, d2, m1, m2) along axis i: the 4-point stencil sums of the two
+        scalars (before the 1/(12 h) factor) and their largest cancellation
+        scales.  The same for every generator; only the weight xi^i differs."""
+        d1 = d2 = 0.0
+        m1 = m2 = 0.0
+        for off, w in _STENCIL:
+            shifted = list(coords)
+            shifted[i] += off * _FD_H
+            f1, f2, fs1, fs2 = self._scalars(shifted, vals)
+            d1 += w * f1
+            d2 += w * f2
+            m1 = max(m1, fs1)
+            m2 = max(m2, fs2)
+        return d1, d2, m1, m2
+
     def residuals(self, X: VectorField, point: Assignment) -> Tuple[float, float]:
         """The two directional residuals for generator X at the point.
 
         Each residual is normalized by the magnitude of the scalar being
         differentiated (plus one), making it a dimensionless zero-test that
         stays meaningful when the inverse metric is large at the point.
+
+        The stencils of the last point are kept, keyed by the point's values
+        (an ``Assignment`` is mutable), so the generators of one point share
+        them; an axis is filled when first needed.
         """
         vals = self._values(point)
         xi0 = evaluate(X[0], point)
         if abs(xi0) > 1e-13:
             raise ValueError("generator must have zero u0 component")
         xi = [evaluate(X[i], point) for i in range(4)]
+        key = (point.coords, tuple(vals))
+        last_key, stencils = self._last
+        if last_key != key:
+            stencils = {}
+            self._last = (key, stencils)
         r1 = r2 = 0.0
         s1 = s2 = 1.0
-        base = list(point.coords)
         for i in range(1, 4):
             if abs(xi[i]) < 1e-15:
                 continue
-            d1 = d2 = 0.0
-            m1 = m2 = 0.0
-            for off, w in _STENCIL:
-                coords = list(base)
-                coords[i] += off * _FD_H
-                f1, f2, fs1, fs2 = self._scalars(coords, vals)
-                d1 += w * f1
-                d2 += w * f2
-                m1 = max(m1, fs1)
-                m2 = max(m2, fs2)
+            if i not in stencils:
+                stencils[i] = self._stencil(point.coords, vals, i)
+            d1, d2, m1, m2 = stencils[i]
             r1 += xi[i] * d1 / (12.0 * _FD_H)
             r2 += xi[i] * d2 / (12.0 * _FD_H)
             s1 += abs(xi[i]) * m1

@@ -25,6 +25,7 @@ powers; anything else stays as a guard that must be nonzero when evaluating.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -99,11 +100,33 @@ class FuncSymbol(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # sort keys: every canonical container is a sorted tuple, so all factor keys
-# need a total order built from plain (int, str) tuples.
+# need a total order built from plain (int, str) tuples.  Rationals order by
+# (numerator, denominator), not by value, so native tuple order would differ.
+#
+# The key of a tuple is computed once and cached.  This is exact because
+# canonical containers are immutable and the key is a function of the value:
+# tuples that compare equal (and so share a cache slot) hold equal leaves, and
+# equal leaves (1, True, Fraction(1)) already have equal keys.  Only the
+# bound on the cache size is a tuning choice; it changes no result.  (A tuple
+# equal to a cached one is not re-checked, so a float leaf equal to a cached
+# rational gets its key instead of a TypeError; canonical forms hold no
+# floats.)
 # ---------------------------------------------------------------------------
+
+_SKEY_CACHE_SIZE = 1 << 16
 
 
 def _skey(obj):
+    # exact types first: isinstance(x, Fraction) goes through ABCMeta
+    t = type(obj)
+    if t is tuple:
+        return _tuple_skey(obj)
+    if t is str:
+        return (1, obj, 0, 0)
+    if t is int:
+        return (0, "", obj, 1)
+    if t is Fraction:
+        return (0, "", obj.numerator, obj.denominator)
     if isinstance(obj, Fraction):
         return (0, "", obj.numerator, obj.denominator)
     if isinstance(obj, int):
@@ -111,8 +134,13 @@ def _skey(obj):
     if isinstance(obj, str):
         return (1, obj, 0, 0)
     if isinstance(obj, tuple):
-        return (2, "", 0, 0) + tuple(_skey(x) for x in obj)
+        return _tuple_skey(obj)
     raise TypeError(f"unsortable {obj!r}")
+
+
+@functools.lru_cache(maxsize=_SKEY_CACHE_SIZE)
+def _tuple_skey(obj):
+    return (2, "", 0, 0) + tuple(_skey(x) for x in obj)
 
 
 def _sorted(items):

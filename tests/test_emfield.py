@@ -1,5 +1,7 @@
 """Residual checks for admissible electromagnetic fields."""
 
+import random
+
 from symlab import catalog, expr as ex
 from symlab.emfield import (
     FieldTensor,
@@ -12,6 +14,7 @@ from symlab.emfield import (
     compatibility_residual,
     field_from_potential,
     gamma_of,
+    kgf_extra_residual_at,
 )
 from symlab.expr import is_zero, parse
 from symlab.geometry import VectorField
@@ -199,3 +202,59 @@ class TestSecondOrderConditions:
             for X in m.frame:
                 r1, r2 = checker.residuals(X, point)
                 assert abs(r1) < 1e-8 and abs(r2) < 1e-8
+
+
+class TestStencilReuse:
+    """A checker reused across a point's generators shares their stencils;
+    its residuals must equal those of a fresh checker, bit for bit."""
+
+    def test_reused_checker_matches_fresh_checker(self, models):
+        rng = random.Random(4099)
+        for m in models.values():
+            checker = KgfChecker(m.metric, m.potential)
+            for _ in range(3):
+                point = catalog.random_model_assignment(
+                    m, rng, symbols=checker.required_symbols()
+                )
+                for X in m.frame:
+                    fresh = kgf_extra_residual_at(m.metric, m.potential, X, point)
+                    assert checker.residuals(X, point) == fresh, m.type_tag
+
+    def test_new_function_values_at_same_coordinates_recompute(self, models):
+        # a non-admissible potential, so the residuals depend on the values
+        m = models["V"]
+        pert = Potential.make(
+            0, m.potential[1], m.potential[2] + ex.coord(1), m.potential[3]
+        )
+        checker = KgfChecker(m.metric, pert)
+        point = catalog.random_model_assignment(
+            m, random.Random(77), symbols=checker.required_symbols()
+        )
+        X = m.frame[2]
+        before = checker.residuals(X, point)
+        for key in point.funcs:
+            point.funcs[key] += 0.5  # same Assignment object, same coordinates
+        after = checker.residuals(X, point)
+        assert after != before
+        assert after == kgf_extra_residual_at(m.metric, pert, X, point)
+        doubled = {k: 2 * v for k, v in point.funcs.items()}
+        moved = ex.Assignment(point.coords, point.params, doubled)
+        assert checker.residuals(X, moved) == kgf_extra_residual_at(m.metric, pert, X, moved)
+
+    def test_new_coordinates_with_same_function_values_recompute(self, models):
+        m = models["V"]
+        pert = Potential.make(
+            0, m.potential[1], m.potential[2] + ex.coord(1), m.potential[3]
+        )
+        checker = KgfChecker(m.metric, pert)
+        point = catalog.random_model_assignment(
+            m, random.Random(78), symbols=checker.required_symbols()
+        )
+        X = m.frame[2]
+        before = checker.residuals(X, point)
+        shifted = ex.Assignment(
+            [c + 0.25 for c in point.coords], point.params, point.funcs
+        )
+        after = checker.residuals(X, shifted)
+        assert after != before
+        assert after == kgf_extra_residual_at(m.metric, pert, X, shifted)

@@ -319,3 +319,66 @@ def test_derivative_is_a_derivation(a, b, i):
 @given(a=class_exprs())
 def test_print_parse_round_trip(a):
     assert parse(str(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# canonical sort order: the cached sort keys against a plain reference key
+# ---------------------------------------------------------------------------
+
+
+def _reference_key(obj):
+    """The canonical order written out without a cache: numbers before
+    strings before tuples; numbers by (numerator, denominator), not by value;
+    tuples element by element, a prefix first."""
+    if isinstance(obj, tuple):
+        return (2, "", 0, 0) + tuple(_reference_key(x) for x in obj)
+    if isinstance(obj, str):
+        return (1, obj, 0, 0)
+    q = Fraction(obj)
+    return (0, "", q.numerator, q.denominator)
+
+
+_sort_leaves = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.booleans(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.sampled_from(["", "p", "u", "tc", "sin", "cos"]),
+)
+_sort_items = st.recursive(
+    _sort_leaves, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=12
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(items=st.lists(_sort_items, max_size=8))
+def test_sorted_matches_reference_order_cold_and_warm(items):
+    expected = tuple(sorted(items, key=_reference_key))
+    ex._tuple_skey.cache_clear()
+    assert ex._sorted(items) == expected
+    assert ex._sorted(items) == expected
+    assert ex._sorted(reversed(expected)) == tuple(sorted(reversed(expected), key=_reference_key))
+
+
+def test_sort_key_orders_rationals_by_numerator_then_denominator():
+    assert ex._sorted([Fraction(1, 3), Fraction(1, 2), 1]) == (1, Fraction(1, 2), Fraction(1, 3))
+    assert ex._sorted([(Fraction(1, 3),), (Fraction(1, 2),)]) == ((Fraction(1, 2),), (Fraction(1, 3),))
+
+
+def test_sort_key_rejects_unseen_float_leaf():
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            ex._skey(("float leaf never sorted before", Fraction(1, 7), 0.25))
+        with pytest.raises(TypeError):
+            ex._sorted([(("nested float leaf",), (2.5,)), ("x",)])
+
+
+def test_verify_output_independent_of_sort_key_cache(capsys):
+    from symlab import cli
+
+    ex._tuple_skey.cache_clear()
+    assert cli.main(["verify", "--group", "VIII", "--format", "json"]) == 0
+    cold = capsys.readouterr().out
+    assert ex._tuple_skey.cache_info().currsize > 0
+    assert cli.main(["verify", "--group", "VIII", "--format", "json"]) == 0
+    warm = capsys.readouterr().out
+    assert cold == warm
