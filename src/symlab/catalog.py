@@ -40,6 +40,7 @@ __all__ = [
     "BianchiModel",
     "ErrataNote",
     "ModelDescriptor",
+    "build_model",
     "get_model",
     "list_models",
     "printed_vs_consistent",
@@ -471,6 +472,31 @@ def _check_ix_potential() -> bool:
 _CACHE: Dict[Tuple[str, Fraction], BianchiModel] = {}
 
 
+def build_model(
+    type_tag: str, params: Dict[str, object], frame: Tuple[VectorField, ...], coframe: Coframe,
+    metric: Metric, potential: Potential, errata: Tuple[ErrataNote, ...] = (),
+) -> BianchiModel:
+    """Model from a generator frame, an invariant metric and a potential.
+
+    The structure constants are derived from the frame, the field is
+    F = dA, and each generator xi_a gets the integral with
+    gamma_a = -xi_a . A.  Raises ``GeometryError`` when the frame does not
+    define an algebra.
+    """
+    return BianchiModel(
+        type_tag=type_tag,
+        params=params,
+        frame=frame,
+        constants=structure_constants_from_frame(frame),
+        coframe=coframe,
+        metric=metric,
+        potential=potential,
+        field=field_from_potential(potential),
+        integrals=tuple(SymmetryIntegral(xi=X, gamma=gamma_of(X, potential)) for X in frame),
+        errata=errata,
+    )
+
+
 def get_model(type_tag: str, q=None) -> BianchiModel:
     """Fully populated model for the given type.
 
@@ -492,27 +518,10 @@ def get_model(type_tag: str, q=None) -> BianchiModel:
         return _CACHE[key]
 
     frame = _frame_for(tag, qv)
-    constants = structure_constants_from_frame(frame)
     coframe = invariant_coframe(frame)
     metric = metric_from_coframe(coframe)
-    potential = _potential_for(tag, qv)
-    field = field_from_potential(potential)
-    integrals = tuple(
-        SymmetryIntegral(xi=frame[a], gamma=gamma_of(frame[a], potential))
-        for a in range(3)
-    )
-    model = BianchiModel(
-        type_tag=tag,
-        params=_params_for(tag, qv),
-        frame=frame,
-        constants=constants,
-        coframe=coframe,
-        metric=metric,
-        potential=potential,
-        field=field,
-        integrals=integrals,
-        errata=_errata_for(tag),
-    )
+    params, potential = _params_for(tag, qv), _potential_for(tag, qv)
+    model = build_model(tag, params, frame, coframe, metric, potential, _errata_for(tag))
     _CACHE[key] = model
     return model
 

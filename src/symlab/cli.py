@@ -2,14 +2,16 @@
 
 Verification runs every residual check against a built-in or manifest model
 and emits a deterministic report (text or versioned JSON, schema
-``symlab-report/1``).  Exit status 0 means every check passed; errata are
-informational and do not affect the status.
+``symlab-report/1``).  Exit status 0 means every check passed and 1 that a
+check failed; errata are informational and do not affect the status.  An
+input error exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -32,7 +34,6 @@ from .geometry import (
 from .emfield import (
     KgfChecker,
     Potential,
-    SymmetryIntegral,
     admissibility_residual,
     algebraic_constraint_residual,
     bianchi_residual,
@@ -63,6 +64,12 @@ KGF_TOL = 1e-8  # second-order scalar conditions and dynamics drift
 
 class ManifestError(Exception):
     pass
+
+
+# input errors: main prints each as one line and exits 2; any other
+# exception is an engine defect and keeps its traceback
+_USER_ERRORS = (ManifestError, ex.ParseError, OSError, ValueError,
+                solver.UnsupportedGroupError, dynamics.IntegrationError)
 
 
 @dataclass
@@ -128,6 +135,9 @@ def _sym_check(name: str, residual_exprs, detail: str = "") -> CheckResult:
 
 def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> Report:
     """Run every residual check on a model; failures become report entries."""
+    if samples < 1:
+        # the sampled checks would pass with no point evaluated
+        raise ValueError(f"samples must be at least 1, got {samples}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     report = Report(
@@ -209,21 +219,31 @@ def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> 
             )
         )
 
-    # second-order scalar conditions, numerically
+    # second-order scalar conditions, numerically; a point-generator pair
+    # that is non-finite or cannot be evaluated fails the check
     checker = KgfChecker(model.metric, model.potential)
-    worst = 0.0
+    worst, bad = 0.0, 0
     for _ in range(samples):
         point = random_model_assignment(model, rng, symbols=checker.required_symbols())
         for X in model.frame:
-            r1, r2 = checker.residuals(X, point)
-            worst = max(worst, abs(r1), abs(r2))
+            try:
+                r1, r2 = checker.residuals(X, point)
+            except ex.EvaluationError:
+                r1 = r2 = math.nan
+            if math.isfinite(r1) and math.isfinite(r2):
+                worst = max(worst, abs(r1), abs(r2))
+            else:
+                bad += 1
+    detail = f"max over {samples} points x 3 generators"
+    if bad:
+        detail += f"; {bad} of {3 * samples} point-generator pairs non-finite or not evaluable"
     checks.append(
         CheckResult(
             "second-order scalar conditions",
             "numeric",
-            f"{worst:.3e}",
-            "pass" if worst < KGF_TOL else "fail",
-            f"max over {samples} points x 3 generators",
+            "nan" if bad else f"{worst:.3e}",
+            "pass" if worst < KGF_TOL and not bad else "fail",
+            detail,
         )
     )
 
@@ -282,8 +302,16 @@ def export_manifest(model: BianchiModel, bindings: Optional[Dict[str, Expr]] = N
     return "\n".join(lines) + "\n"
 
 
-def _parse_sections(text: str) -> Dict[str, List[Tuple[str, str, int]]]:
-    sections: Dict[str, List[Tuple[str, str, int]]] = {}
+def _read_sections(path: str) -> Dict[str, Dict[str, Tuple[str, int]]]:
+    """Section name -> {key: (value, line number)}; a repeated key keeps its
+    last value."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ManifestError(f"{path}: not UTF-8 text (byte {err.start})") from None
+    sections: Dict[str, Dict[str, Tuple[str, int]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -291,24 +319,28 @@ def _parse_sections(text: str) -> Dict[str, List[Tuple[str, str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            sections.setdefault(current, [])
+            sections.setdefault(current, {})
             continue
         if current is None:
             raise ManifestError(f"line {lineno}: content before any section")
         if "=" not in line:
             raise ManifestError(f"line {lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        sections[current].append((key.strip(), value.strip(), lineno))
+        sections[current][key.strip()] = (value.strip(), lineno)
     return sections
 
 
-def _section_dict(entries) -> Dict[str, str]:
-    return {k: v for k, v, _ln in entries}
-
-
-def _parse_expr_at(value: str, lineno: int, parameters) -> Expr:
+def _components(sections, section: str, key: str, count: int, parameters) -> List[Expr]:
+    """Entry ``key`` of ``[section]`` as ``count`` comma-separated
+    expressions; an error in the entry names its line."""
+    if key not in sections[section]:
+        raise ManifestError(f"[{section}] has no entry {key}")
+    value, lineno = sections[section][key]
+    comps = value.split(",")
+    if len(comps) != count:
+        raise ManifestError(f"line {lineno}: {key} has {len(comps)} components, expected {count}")
     try:
-        return parse(value, parameters=parameters)
+        return [parse(c, parameters=parameters) for c in comps]
     except ex.ParseError as err:
         raise ManifestError(f"line {lineno}: {err}") from None
 
@@ -320,108 +352,49 @@ def load_manifest(path: str) -> Tuple[BianchiModel, Dict[str, Expr]]:
     the simulate command).  Structure constants are always derived from the
     declared frame; a frame that does not close is a load error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    sections = _parse_sections(text)
+    sections = _read_sections(path)
     for required in ("model", "frame", "potential"):
         if required not in sections:
             raise ManifestError(f"missing required section [{required}]")
-    meta = _section_dict(sections["model"])
-    name = meta.get("name", "custom")
-    params_raw = _section_dict(sections.get("params", []))
+    name = sections["model"].get("name", ("custom", 0))[0]
+    params_raw = {k: v for k, (v, _ln) in sections.get("params", {}).items()}
     parameters = set(ex.DEFAULT_PARAMETERS) | set(params_raw)
 
-    frame_entries = _section_dict(sections["frame"])
-    fields = []
-    for a in range(1, 4):
-        key = f"xi{a}"
-        if key not in frame_entries:
-            raise ManifestError(f"missing frame component {key}")
-        comps = [s.strip() for s in frame_entries[key].split(",")]
-        if len(comps) != 4:
-            raise ManifestError(f"{key} needs four components")
-        fields.append(
-            VectorField(tuple(_parse_expr_at(c, 0, parameters) for c in comps))
-        )
-    frame = tuple(fields)
-    try:
-        constants = structure_constants_from_frame(frame)
-    except geometry.GeometryError as err:
-        raise ManifestError(f"frame does not define an algebra: {err}") from None
-
-    coframe = None
+    fields = (_components(sections, "frame", f"xi{a}", 4, parameters) for a in (1, 2, 3))
+    frame = tuple(VectorField(tuple(f)) for f in fields)
     if "coframe" in sections:
-        cof_entries = _section_dict(sections["coframe"])
-        forms = []
-        for a in range(1, 4):
-            key = f"s{a}"
-            if key not in cof_entries:
-                raise ManifestError(f"missing coframe form {key}")
-            comps = [s.strip() for s in cof_entries[key].split(",")]
-            if len(comps) != 3:
-                raise ManifestError(f"{key} needs three components")
-            forms.append(tuple(_parse_expr_at(c, 0, parameters) for c in comps))
-        coframe = Coframe(tuple(forms))
+        forms = (_components(sections, "coframe", f"s{a}", 3, parameters) for a in (1, 2, 3))
+        coframe = Coframe(tuple(tuple(f) for f in forms))
         metric = metric_from_coframe(coframe)
     elif "metric" in sections:
-        m_entries = _section_dict(sections["metric"])
-        entries = [[ex.number(0)] * 4 for _ in range(4)]
+        g = [[ex.number(0)] * 4 for _ in range(4)]
         for i in range(4):
             for j in range(i, 4):
-                key = f"g{i}{j}"
-                if key in m_entries:
-                    v = _parse_expr_at(m_entries[key], 0, parameters)
-                    entries[i][j] = v
-                    entries[j][i] = v
-        metric = Metric(entries, entries[0][0])
-    else:
-        raise ManifestError("need a [coframe] or [metric] section")
-    if coframe is None:
+                if f"g{i}{j}" in sections["metric"]:
+                    (g[i][j],) = _components(sections, "metric", f"g{i}{j}", 1, parameters)
+                    g[j][i] = g[i][j]
+        metric = Metric(g, g[0][0])
         try:
             coframe = geometry.invariant_coframe(frame)
         except geometry.GeometryError:
-            coframe = Coframe(
-                tuple(
-                    tuple(ex.number(1 if i == a else 0) for i in range(3))
-                    for a in range(3)
-                )
-            )
-
-    pot_entries = _section_dict(sections["potential"])
-    comps = []
-    for i in range(4):
-        key = f"A{i}"
-        if key not in pot_entries:
-            raise ManifestError(f"missing potential component {key}")
-        comps.append(_parse_expr_at(pot_entries[key], 0, parameters))
+            unit = ((ex.number(int(i == a)) for i in range(3)) for a in range(3))
+            coframe = Coframe(tuple(tuple(form) for form in unit))
+    else:
+        raise ManifestError("need a [coframe] or [metric] section")
+    comps = [_components(sections, "potential", f"A{i}", 1, parameters)[0] for i in range(4)]
     potential = Potential(tuple(comps))
-    field_tensor = field_from_potential(potential)
-    integrals = tuple(
-        SymmetryIntegral(xi=frame[a], gamma=gamma_of(frame[a], potential))
-        for a in range(3)
-    )
     params: Dict[str, object] = {}
     for k, v in params_raw.items():
         try:
             params[k] = Fraction(v)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             params[k] = v
-    model = BianchiModel(
-        type_tag=name,
-        params=params,
-        frame=frame,
-        constants=constants,
-        coframe=coframe,
-        metric=metric,
-        potential=potential,
-        field=field_tensor,
-        integrals=integrals,
-        errata=(),
-    )
-    bindings = {}
-    for k, v, ln in sections.get("bindings", []):
-        bindings[k] = _parse_expr_at(v, ln, parameters)
-    return model, bindings
+    try:
+        model = catalog.build_model(name, params, frame, coframe, metric, potential)
+    except geometry.GeometryError as err:
+        raise ManifestError(f"frame does not define an algebra: {err}") from None
+    bindings = sections.get("bindings", {})
+    return model, {k: _components(sections, "bindings", k, 1, parameters)[0] for k in bindings}
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +448,7 @@ def _emit_many(reports: Sequence[Report], fmt: str) -> str:
 
 def _cmd_verify(args) -> int:
     if args.samples < 1:
-        # the sampled checks would pass with no point evaluated
-        sys.stderr.write(f"error: --samples must be at least 1, got {args.samples}\n")
-        return 2
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.manifest:
         model, _bindings = load_manifest(args.manifest)
         models = [model]
@@ -491,12 +462,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        fam = solver.solve_solvable(args.group, q=args.q)
-        reduced = solver.apply_algebraic_constraints(fam)
-    except solver.UnsupportedGroupError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
+    fam = solver.solve_solvable(args.group, q=args.q)
+    reduced = solver.apply_algebraic_constraints(fam)
     if args.format == "json":
         doc = {
             "schema": REPORT_SCHEMA,
@@ -520,14 +487,11 @@ def _cmd_solve(args) -> int:
 
 def load_bindings(path: str) -> Dict[str, Expr]:
     """Read a [bindings] section from a manifest or a bindings-only file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        sections = _parse_sections(fh.read())
+    sections = _read_sections(path)
     if "bindings" not in sections:
         raise ManifestError(f"{path}: no [bindings] section")
-    out = {}
-    for k, v, ln in sections["bindings"]:
-        out[k] = _parse_expr_at(v, ln, ex.DEFAULT_PARAMETERS)
-    return out
+    params = ex.DEFAULT_PARAMETERS
+    return {k: _components(sections, "bindings", k, 1, params)[0] for k in sections["bindings"]}
 
 
 def _cmd_simulate(args) -> int:
@@ -537,11 +501,7 @@ def _cmd_simulate(args) -> int:
     model = get_model(args.group)
     inst = dynamics.standard_instance(model, bindings=bindings or None)
     states = dynamics.random_initial_states(model, 1, seed=args.seed)
-    try:
-        traj = dynamics.integrate(inst, states[0], (0.0, args.tau), args.tol, args.max_steps)
-    except dynamics.IntegrationError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
+    traj = dynamics.integrate(inst, states[0], (0.0, args.tau), args.tol, args.max_steps)
     rows = dynamics.trajectory_rows(traj, inst)
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
     try:
@@ -648,7 +608,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(func=_cmd_errata)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _USER_ERRORS as err:
+        sys.stderr.write(f"error: {err}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -261,9 +261,18 @@ def _cp_eval(a, binding: Callable[[tuple], float]) -> float:
     return total
 
 
-def _cp_str(a) -> str:
-    if not a:
+def _signed_join(parts) -> str:
+    """Terms joined by ' + ' and ' - ', a leading '-' becoming the operator;
+    "0" when there are none."""
+    if not parts:
         return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def _cp_str(a) -> str:
     parts = []
     for cmono, coeff in a:
         factors = [_factor_str(key, e) for key, e in cmono]
@@ -274,10 +283,7 @@ def _cp_str(a) -> str:
         else:
             s = _rat_str(coeff) + ("*" + "*".join(factors) if factors else "")
         parts.append(s)
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return _signed_join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +332,7 @@ def _lf_str(a) -> str:
             parts.append(_cp_str(cp) + "*" + COORD_NAMES[i])
         else:
             parts.append("(" + _cp_str(cp) + ")*" + COORD_NAMES[i])
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return _signed_join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1130,11 +1131,6 @@ def compile_numeric(
             key = tuple(s)
         slot[key] = f"s{idx}"
 
-    def base_src(name: str) -> str:
-        if ("p", name) in slot:
-            return slot[("p", name)]
-        return repr(param_values[name])
-
     def factor_src(key, e: int):
         """Returns (constant factor or None, source or None)."""
         kind = key[0]
@@ -1234,10 +1230,11 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        # ASCII digits only: Fraction rejects other characters str.isdigit accepts
+        if "0" <= ch <= "9" or (ch == "." and i + 1 < n and "0" <= text[i + 1] <= "9"):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and ("0" <= text[j] <= "9" or (text[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or text[j] == "."
                 j += 1
             tokens.append(_Token("number", Fraction(text[i:j]), i))
@@ -1317,7 +1314,10 @@ class _Parser:
                     raise ParseError("division by zero", op.pos) from None
             elif op.kind == "^" and min_bp <= 40:
                 self.next()
-                left = left ** self.parse_exponent()
+                try:
+                    left = left ** self.parse_exponent()
+                except ZeroDivisionError:
+                    raise ParseError("division by zero", op.pos) from None
             else:
                 return left
 
@@ -1442,13 +1442,7 @@ def _mono_str(m: Mono) -> str:
 
 
 def _sum_str(monos) -> str:
-    if not monos:
-        return "0"
-    parts = [_mono_str(m) for m in monos]
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return _signed_join([_mono_str(m) for m in monos])
 
 
 def _expr_str(e: Expr) -> str:

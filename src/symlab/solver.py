@@ -18,7 +18,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import expr as ex
 from .expr import Expr, FuncSymbol, differentiate, is_zero
 from ._symint import antiderivative, definite_integral, fundamental_matrix
-from .geometry import StructureConstants, VectorField, structure_constants_from_frame
+from .geometry import (
+    StructureConstants,
+    VectorField,
+    _is_translation,
+    structure_constants_from_frame,
+)
 from .emfield import (
     FieldTensor,
     Potential,
@@ -104,13 +109,13 @@ def build_field_system(C: StructureConstants, frame: Sequence[VectorField]) -> F
     derived = structure_constants_from_frame(frame)
     if derived != C:
         raise SolverError("structure constants do not match the frame")
-    d1 = _match_translation(frame, 1)
-    d2 = _match_translation(frame, 2)
-    if d1 is None or d2 is None:
+    translations = [_is_translation(f) for f in frame]
+    if 1 not in translations or 2 not in translations:
         raise UnsupportedGroupError(
             "frame has no Abelian translation pair (d/du1, d/du2); "
             "the closed forms for this shape are verified, not derived"
         )
+    d1, d2 = translations.index(1), translations.index(2)
     third = next(f for idx, f in enumerate(frame) if idx not in (d1, d2))
     x3 = third[3]
     if not (x3.is_constant() and x3):
@@ -138,13 +143,6 @@ def build_field_system(C: StructureConstants, frame: Sequence[VectorField]) -> F
         ode_matrix=tuple(rows),
         vanishing_directions=(1, 2),
     )
-
-
-def _match_translation(frame, j):
-    for idx, f in enumerate(frame):
-        if f[j] == ex.number(1) and all(not f[i] for i in range(4) if i != j):
-            return idx
-    return None
 
 
 def _add_component(row, k, l, coeff):

@@ -1,11 +1,13 @@
 """Report generation, manifests and the command-line surface."""
 
+import dataclasses
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symlab import cli, expr as ex
+from symlab import catalog, cli, expr as ex
 from symlab.cli import (
     ManifestError,
     emit_report,
@@ -277,3 +279,227 @@ class TestCommandLine:
         assert rc == 0
         assert "drift" in err
         assert "steps: accepted=" in err
+
+
+_U0_FRAME_MANIFEST = """[model]
+name = timelike
+[frame]
+xi1 = 1, 0, 0, 0
+xi2 = 0, 0, 1, 0
+xi3 = 0, 0, 0, 1
+[metric]
+g00 = e
+g11 = a11
+g22 = a22
+g33 = a33
+[potential]
+A0 = 0
+A1 = alpha0
+A2 = beta0
+A3 = gamma0
+"""
+
+# (arguments, files to write first); {dir} is the test's temporary directory
+_INPUT_ERRORS = {
+    "verify-unknown-group": (["verify", "--group", "X"], {}),
+    "errata-all": (["errata", "--group", "all"], {}),
+    "errata-unknown-group": (["errata", "--group", "X"], {}),
+    "export-unknown-group": (["export", "--group", "X"], {}),
+    "simulate-unknown-group": (["simulate", "--group", "X"], {}),
+    "verify-missing-manifest": (["verify", "--manifest", "{dir}/nope.manifest"], {}),
+    "manifest-without-potential": (
+        ["verify", "--manifest", "{dir}/m.manifest"],
+        {"m.manifest": _U0_FRAME_MANIFEST.split("[potential]")[0]},
+    ),
+    "manifest-u0-generator": (
+        ["verify", "--manifest", "{dir}/m.manifest"],
+        {"m.manifest": _U0_FRAME_MANIFEST},
+    ),
+    "simulate-negative-tol": (["simulate", "--group", "I", "--tol", "-1"], {}),
+    "simulate-zero-tau": (["simulate", "--group", "I", "--tau", "0"], {}),
+    "simulate-missing-bindings": (
+        ["simulate", "--group", "I", "--bindings", "{dir}/nope.manifest"],
+        {},
+    ),
+    "solve-vi-q-one": (["solve", "--group", "VI", "--q", "1"], {}),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("case", sorted(_INPUT_ERRORS))
+    def test_exit_two_with_one_line(self, case, capsys, tmp_path):
+        argv, files = _INPUT_ERRORS[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        rc = cli.main([a.format(dir=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "entry, suffix, extra",
+        [
+            ("xi2 = ", " +* 2", ""),
+            ("s3 = ", " +* 2", ""),
+            ("A1 = ", " +* 2", ""),
+            ("A1 = ", "*0^-1", ""),
+            ("A1 = ", "*2\u00b2", ""),
+            ("gamma0 = ", " +* 2", "gamma0 = sin(u0)\n"),
+        ],
+    )
+    def test_parse_error_names_its_line(self, models, tmp_path, entry, suffix, extra):
+        text = export_manifest(models["II"])
+        if extra:
+            text += "\n[bindings]\n" + extra
+        lines = text.splitlines()
+        lineno = next(n for n, ln in enumerate(lines, start=1) if ln.startswith(entry))
+        lines[lineno - 1] += suffix
+        path = tmp_path / "bad.manifest"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ManifestError) as err:
+            load_manifest(str(path))
+        assert str(err.value).startswith(f"line {lineno}: ")
+        if extra:
+            with pytest.raises(ManifestError) as err:
+                cli.load_bindings(str(path))
+            assert str(err.value).startswith(f"line {lineno}: ")
+
+    def test_metric_entry_error_names_its_line(self, tmp_path):
+        text = _U0_FRAME_MANIFEST.replace("g22 = a22", "g22 = a22 )")
+        lineno = text.splitlines().index("g22 = a22 )") + 1
+        path = tmp_path / "bad.manifest"
+        path.write_text(text)
+        with pytest.raises(ManifestError) as err:
+            load_manifest(str(path))
+        assert str(err.value).startswith(f"line {lineno}: ")
+
+    def test_non_utf8_bytes_are_a_manifest_error(self, models, tmp_path):
+        path = tmp_path / "latin1.manifest"
+        path.write_bytes(export_manifest(models["I"]).encode() + b"# \xe9\n")
+        with pytest.raises(ManifestError):
+            load_manifest(str(path))
+
+    def test_engine_defect_keeps_its_traceback(self, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise ex.InternalInconsistencyError("canonical forms disagree")
+
+        monkeypatch.setattr(cli, "get_model", broken)
+        with pytest.raises(ex.InternalInconsistencyError):
+            cli.main(["export", "--group", "I"])
+
+
+class TestBuildModel:
+    @pytest.mark.parametrize("tag", ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX"])
+    def test_manifest_round_trip_equals_model(self, models, tmp_path, tag):
+        m = models[tag]
+        path = tmp_path / "m.manifest"
+        path.write_text(export_manifest(m))
+        loaded, _ = load_manifest(str(path))
+        for f in dataclasses.fields(m):
+            if f.name != "errata":
+                assert getattr(loaded, f.name) == getattr(m, f.name), f.name
+        assert loaded.errata == ()
+
+    def test_param_that_is_not_rational_stays_text(self, models, tmp_path):
+        text = export_manifest(models["I"]).replace("k = 0", "k = 1/0")
+        path = tmp_path / "m.manifest"
+        path.write_text(text)
+        loaded, _ = load_manifest(str(path))
+        assert loaded.params["k"] == "1/0"
+
+    def test_catalog_models_come_from_build_model(self, models):
+        m = models["VIII"]
+        rebuilt = catalog.build_model(
+            m.type_tag, m.params, m.frame, m.coframe, m.metric, m.potential, m.errata
+        )
+        assert rebuilt == m
+
+
+# a metric whose g11 overflows a double on part of the sampled range, and one
+# with g11 missing, which is singular everywhere
+_OVERFLOW_METRIC_MANIFEST = """[model]
+name = overflow
+[frame]
+xi1 = 0, 1, 0, 0
+xi2 = 0, 0, 1, 0
+xi3 = 0, 0, 0, 1
+[metric]
+g00 = -1
+g11 = 10^300*exp(30*u0)
+g22 = 1
+g33 = 1
+[potential]
+A0 = 0
+A1 = alpha0
+A2 = beta0
+A3 = gamma0
+"""
+
+
+class TestSecondOrderCheck:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _OVERFLOW_METRIC_MANIFEST,
+            _OVERFLOW_METRIC_MANIFEST.replace("g11 = 10^300*exp(30*u0)\n", ""),
+        ],
+        ids=["overflow", "singular"],
+    )
+    def test_unevaluable_pairs_fail(self, capsys, tmp_path, text):
+        path = tmp_path / "m.manifest"
+        path.write_text(text)
+        rc = cli.main(["verify", "--manifest", str(path), "--samples", "20"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "[FAIL] second-order scalar conditions (numeric): nan" in captured.out
+        assert "of 60 point-generator pairs non-finite or not evaluable" in captured.out
+        assert "Traceback" not in captured.err
+        failing = [ln for ln in captured.out.splitlines() if "[FAIL]" in ln]
+        assert len(failing) == 1
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_run_verification_rejects_vacuous_samples(self, models, samples):
+        with pytest.raises(ValueError):
+            run_verification(models["I"], samples=samples)
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, pos, byte in edits:
+        if kind == "insert":
+            out.insert(pos % (len(out) + 1), byte)
+        elif out and kind == "delete":
+            del out[pos % len(out)]
+        elif out:
+            out[pos % len(out)] = byte
+    return bytes(out)
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["substitute", "delete", "insert"]),
+        st.integers(0, 1 << 16),
+        st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@pytest.fixture(scope="module")
+def exported_manifests():
+    return [export_manifest(catalog.get_model(tag)).encode() for tag in catalog.TAGS]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(index=st.integers(0, 8), edits=_EDITS)
+def test_load_manifest_fuzz_raises_only_manifest_error(exported_manifests, tmp_path_factory, index, edits):
+    path = tmp_path_factory.getbasetemp() / "fuzz.manifest"
+    path.write_bytes(_mutated(exported_manifests[index], edits))
+    try:
+        load_manifest(str(path))
+    except ManifestError:
+        pass
