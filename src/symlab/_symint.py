@@ -1,9 +1,11 @@
-"""Closed-form antiderivatives and constant-coefficient linear ODE solutions.
+"""Closed-form antiderivatives, constant-coefficient linear ODE solutions and
+exact row reduction.
 
-Internal helpers shared by the coframe construction and the field-tensor
-solver.  Everything stays inside the expression engine's closed class:
-polynomials times one exponential of a linear form times at most one sine or
-cosine of a linear form, with exact scalar coefficients.
+Internal helpers shared by the coframe construction, the structure-constant
+derivation and the field-tensor solver.  Everything stays inside the
+expression engine's closed class: polynomials times one exponential of a
+linear form times at most one sine or cosine of a linear form, with exact
+scalar coefficients.
 """
 
 from __future__ import annotations
@@ -409,3 +411,30 @@ def _block_exponentials(A, i):
         ]
 
     return build(1), build(-1)
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra over the rationals
+# ---------------------------------------------------------------------------
+
+
+def row_reduce(matrix: Sequence[Sequence]) -> tuple:
+    """(rref, pivots): the reduced row echelon form of a rational matrix, as
+    Fraction rows, and the pivot column of each nonzero row in order; the
+    rank is ``len(pivots)``."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [v / pv for v in rows[r]]
+        for k, row in enumerate(rows):
+            if k != r and row[c]:
+                f = row[c]
+                rows[k] = [v - f * w for v, w in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots

@@ -53,6 +53,7 @@ __all__ = [
     "cos",
     "substitute",
     "free_symbols",
+    "linear_terms",
     "random_assignment",
     "compile_numeric",
 ]
@@ -60,7 +61,6 @@ __all__ = [
 NCOORDS = 4
 COORD_NAMES = ("u0", "u1", "u2", "u3")
 
-Rat = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
@@ -158,7 +158,6 @@ def _sorted(items):
 # ---------------------------------------------------------------------------
 
 CP_ZERO = ()
-CP_ONE = (((), _ONE),)
 
 
 def _tc_reduce(powdict):
@@ -938,6 +937,51 @@ def free_symbols(e: Expr):
             for _fn, lf, _ex in m.trig:
                 visit_lf(lf)
     return {"coords": coords, "params": params, "funcs": funcs}
+
+
+def linear_terms(
+    e: Expr,
+    funcs: Iterable[str] = (),
+    params: Iterable[str] = (),
+    split_constants: bool = False,
+) -> list:
+    """One ``(unknown, coeff, rest)`` per numerator term, in canonical order,
+    with ``e == sum(coeff * unknown * rest)`` (an unknown of None counts as 1).
+
+    ``unknown`` is the term's factor that is a function named in ``funcs`` (any
+    derivative order, as a FuncSymbol) or a parameter named in ``params`` (its
+    name), or None.  ``coeff`` is the rational coefficient over the constant
+    denominator of ``e``; with ``split_constants`` it also takes the term's
+    other parameter and constant-angle factors.  ``rest`` holds the remaining
+    factors, so terms that differ only in unknown and coefficient share it.
+    Raises UnsupportedExpressionError when the denominator is not constant or
+    a term is not linear in the unknowns.
+    """
+    funcs, params = frozenset(funcs), frozenset(params)
+    inv = None
+    if e.den != SUM_ONE:
+        den = Expr(e.den)
+        if not den.is_constant():
+            raise UnsupportedExpressionError("denominator is not constant")
+        inv = ONE / den
+    out = []
+    for m in e.num:
+        unknown = None
+        const_pows, rest_pows = [], []
+        for key, n in m.pows:
+            if (key[0] == "f" and key[1] in funcs) or (key[0] == "p" and key[1] in params):
+                if unknown is not None or n != 1:
+                    raise UnsupportedExpressionError("term is not linear in the unknowns")
+                unknown = FuncSymbol(key[1], key[2]) if key[0] == "f" else key[1]
+            elif split_constants and key[0] in ("p", "tc"):
+                const_pows.append((key, n))
+            else:
+                rest_pows.append((key, n))
+        coeff = Expr((Mono(m.coeff, tuple(const_pows), LF_ZERO, ()),))
+        if inv is not None:
+            coeff = coeff * inv
+        out.append((unknown, coeff, Expr((Mono(_ONE, tuple(rest_pows), m.expl, m.trig),))))
+    return out
 
 
 def random_assignment(

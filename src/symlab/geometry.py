@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from ._symint import fundamental_matrix
+from ._symint import fundamental_matrix, row_reduce
 from .expr import Expr, Assignment, is_zero, differentiate
 
 __all__ = [
@@ -174,8 +174,12 @@ def structure_constants_from_frame(fields: Sequence[VectorField]) -> StructureCo
 
     Each pairwise bracket must lie in the constant-coefficient span of the
     frame with a unique solution; otherwise NonClosingFrameError is raised.
+    An invertible frame matrix gives the coefficients by Cramer's rule.
     Frames that are not pointwise three-dimensional are still accepted when
-    the constants are uniquely determined, but a frame collapsing to a
+    the constants are uniquely determined: for polynomial components, every
+    term profile of every component gives one rational equation, and exact
+    row reduction of that system decides whether the bracket lies in the
+    span and whether its expansion is unique.  A frame collapsing to a
     one-dimensional distribution is rejected as degenerate.
     """
     fields = list(fields)
@@ -236,61 +240,31 @@ def _pointwise_rank(mat) -> int:
 
 
 def _solve_in_span(fields, bracket, a, b):
-    """Unique constant coefficients with [xi_a, xi_b] = sum c_g xi_g, solved
-    by matching monomial profiles when the frame matrix is singular."""
-    # each monomial profile of sum c_g xi_g^i = bracket^i gives one linear
-    # equation over the three unknown constants
+    """Unique constant coefficients with [xi_a, xi_b] = sum c_g xi_g when the
+    frame matrix is singular: each term profile of each component gives one
+    rational equation over the three constants, and the system is row
+    reduced exactly."""
+    needs = "degenerate-frame solve needs polynomial components"
     rows: dict = {}
     for i in range(4):
-        for g in range(3):
-            e = fields[g][i]
-            if e.den != ex.SUM_ONE:
-                raise NonClosingFrameError("degenerate-frame solve needs polynomial components")
-            for m in e.num:
-                row = rows.setdefault((i, m.key()), [ex.number(0)] * 4)
-                row[g] = row[g] + ex.number(m.coeff)
-        be = bracket[i]
-        if be.den != ex.SUM_ONE:
-            raise NonClosingFrameError("degenerate-frame solve needs polynomial components")
-        for m in be.num:
-            row = rows.setdefault((i, m.key()), [ex.number(0)] * 4)
-            row[3] = row[3] + ex.number(m.coeff)
-    # single-unknown rows resolve directly; iterate substitutions to fixpoint
-    system = [list(r) for r in rows.values()]
-    sol: dict = {}
-    for _ in range(4):
-        progress = False
-        remaining = []
-        for row in system:
-            active = [g for g in range(3) if g not in sol and not is_zero(row[g])]
-            rhs = row[3]
-            for g in sol:
-                if row[g]:
-                    rhs = rhs - row[g] * sol[g]
-            if not active:
-                if not is_zero(rhs):
-                    raise NonClosingFrameError(
-                        f"bracket [{a + 1},{b + 1}] lies outside the frame span"
-                    )
-                continue
-            if len(active) == 1:
-                g = active[0]
-                sol[g] = rhs / row[g]
-                progress = True
-            else:
-                remaining.append(row)
-        system = remaining
-        if len(sol) == 3:
-            break
-        if not progress:
-            raise NonClosingFrameError(
-                f"cannot uniquely resolve bracket [{a + 1},{b + 1}] in the frame span"
-            )
-    if len(sol) < 3:
-        raise DegenerateFrameError(
-            f"bracket [{a + 1},{b + 1}] has no unique expansion in the frame"
+        for col, e in enumerate((fields[0][i], fields[1][i], fields[2][i], bracket[i])):
+            try:
+                terms = ex.linear_terms(e)
+            except ex.UnsupportedExpressionError:
+                raise NonClosingFrameError(needs) from None
+            for _u, coeff, rest in terms:
+                r = coeff.as_rational()
+                if r is None:  # a constant denominator other than 1
+                    raise NonClosingFrameError(needs)
+                rows.setdefault((i, rest), [0] * 4)[col] += r
+    rref, pivots = row_reduce(list(rows.values()))
+    if 3 in pivots:
+        raise NonClosingFrameError(f"bracket [{a + 1},{b + 1}] lies outside the frame span")
+    if len(pivots) < 3:
+        raise NonClosingFrameError(
+            f"cannot uniquely resolve bracket [{a + 1},{b + 1}] in the frame span"
         )
-    return [sol[g] for g in range(3)]
+    return [ex.number(rref[g][3]) for g in range(3)]
 
 
 def jacobi_residual(C: StructureConstants):
@@ -526,20 +500,27 @@ def metric_from_coframe(cf: Coframe, sign: Expr = None, names=DEFAULT_SPATIAL_FU
     return Metric(entries, sign)
 
 
-def killing_residual(g: Metric, X: VectorField):
-    """(L_X g)_ij as a symmetric 4x4 array of canonical expressions."""
+def _lie_derivative_2tensor(T, X: VectorField, sign: int):
+    """(L_X T)_ij = X^k d_k T_ij + T_kj d_i X^k + T_ik d_j X^k as a 4x4 array,
+    for a covariant 2-tensor with T_ji = sign * T_ij: symmetric for +1,
+    antisymmetric (zero diagonal) for -1."""
     res = [[ex.number(0)] * 4 for _ in range(4)]
     for i in range(4):
-        for j in range(i, 4):
+        for j in range(i if sign > 0 else i + 1, 4):
             acc = ex.number(0)
             for k in range(4):
                 if X[k]:
-                    acc = acc + X[k] * differentiate(g[i, j], k)
-                acc = acc + g[k, j] * differentiate(X[k], i)
-                acc = acc + g[i, k] * differentiate(X[k], j)
+                    acc = acc + X[k] * differentiate(T[i, j], k)
+                acc = acc + T[k, j] * differentiate(X[k], i)
+                acc = acc + T[i, k] * differentiate(X[k], j)
             res[i][j] = acc
-            res[j][i] = acc
+            res[j][i] = acc if sign > 0 else -acc
     return tuple(tuple(row) for row in res)
+
+
+def killing_residual(g: Metric, X: VectorField):
+    """(L_X g)_ij as a symmetric 4x4 array of canonical expressions."""
+    return _lie_derivative_2tensor(g, X, 1)
 
 
 def killing_satisfied(g: Metric, X: VectorField) -> bool:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import expr as ex
 from .expr import Expr, FuncSymbol, differentiate, is_zero
-from ._symint import antiderivative, definite_integral, fundamental_matrix
+from ._symint import antiderivative, definite_integral, fundamental_matrix, row_reduce
 from .geometry import (
     StructureConstants,
     VectorField,
@@ -260,41 +260,22 @@ def solve_solvable(type_tag: str, q=None) -> SolutionFamily:
 def _extract_constraints(system, comps, func_unknowns, const_unknowns):
     """Linear constraints over the unknowns from the residual equations.
 
-    Each constraint is a dict {(name, order) or ('const', name): scalar Expr}
+    Each constraint is a dict {FuncSymbol or constant name: scalar Expr}
     collected from one u3-profile of one residual.
     """
     F = FieldTensor.from_upper(comps)
     constraints = []
-    for _n, e in system.residuals(F):
+    for name, e in system.residuals(F):
         if not e:
             continue
-        num = e.num
-        if e.den != ex.SUM_ONE:
-            den = Expr(e.den)
-            if not den.is_constant():
-                raise SolverError("non-constant denominator in a residual")
-        groups: Dict[tuple, Dict[tuple, Expr]] = {}
-        for m in num:
-            unknown = None
-            profile_pows = []
-            coeff_pows = []
-            for key, exp_ in m.pows:
-                if key[0] == "f" and key[1] in func_unknowns:
-                    if unknown is not None or exp_ != 1:
-                        raise SolverError("residual is not linear in the unknowns")
-                    unknown = (key[1], key[2])
-                elif key[0] == "p" and key[1] in const_unknowns:
-                    if unknown is not None or exp_ != 1:
-                        raise SolverError("residual is not linear in the unknowns")
-                    unknown = ("const", key[1])
-                elif key[0] in ("p", "tc"):
-                    coeff_pows.append((key, exp_))
-                else:
-                    profile_pows.append((key, exp_))
+        try:
+            terms = ex.linear_terms(e, func_unknowns, const_unknowns, split_constants=True)
+        except ex.UnsupportedExpressionError as err:
+            raise SolverError(f"residual {name}: {err}") from None
+        groups: Dict[Expr, Dict] = {}
+        for unknown, coeff, profile in terms:
             if unknown is None:
                 raise SolverError("residual term without any unknown cannot vanish")
-            profile = (tuple(profile_pows), m.expl, m.trig)
-            coeff = Expr((ex.Mono(m.coeff, tuple(coeff_pows), ex.LF_ZERO, ()),))
             g = groups.setdefault(profile, {})
             g[unknown] = g.get(unknown, ex.number(0)) + coeff
         for g in groups.values():
@@ -311,11 +292,10 @@ def _apply_single_unknown_rules(constraints, comps, free, consts, const_pool):
         if len(g) != 1:
             continue
         (unknown, _coeff), = g.items()
-        if unknown[0] == "const":
-            name = unknown[1]
-            if name in consts:
-                _substitute_everywhere(comps, params={name: ex.number(0)})
-                consts.remove(name)
+        if isinstance(unknown, str):
+            if unknown in consts:
+                _substitute_everywhere(comps, params={unknown: ex.number(0)})
+                consts.remove(unknown)
                 return True
             continue
         name, order = unknown
@@ -337,19 +317,17 @@ def _apply_single_unknown_rules(constraints, comps, free, consts, const_pool):
 
 def _solve_order_zero_block(constraints, comps, free):
     """Solve the linear block for functions that occur undifferentiated."""
+    def undifferentiated(u):
+        return isinstance(u, FuncSymbol) and u.order == 0 and u.name in free
+
     targets = []
     for g in constraints:
         for unknown in g:
-            if unknown[0] != "const" and unknown[1] == 0 and unknown[0] in free:
-                if unknown[0] not in targets:
-                    targets.append(unknown[0])
+            if undifferentiated(unknown) and unknown.name not in targets:
+                targets.append(unknown.name)
     if not targets:
         return False
-    rows = [
-        g
-        for g in constraints
-        if any(u[0] in targets and u[1] == 0 for u in g if u[0] != "const")
-    ]
+    rows = [g for g in constraints if any(undifferentiated(u) for u in g)]
     solution: Dict[str, Expr] = {}
     remaining = list(rows)
     for name in targets:
@@ -366,10 +344,10 @@ def _solve_order_zero_block(constraints, comps, free):
         for unknown, coeff in pivot_row.items():
             if unknown == (name, 0):
                 continue
-            if unknown[0] == "const":
-                rhs = rhs - coeff * ex.param(unknown[1])
+            if isinstance(unknown, str):
+                rhs = rhs - coeff * ex.param(unknown)
             else:
-                rhs = rhs - coeff * ex.func(unknown[0], unknown[1])
+                rhs = rhs - coeff * ex.func(unknown.name, unknown.order)
         value = rhs / c0
         new_remaining = []
         for g in remaining:
@@ -381,7 +359,7 @@ def _solve_order_zero_block(constraints, comps, free):
                 continue
             g2 = dict(g)
             del g2[(name, 0)]
-            for unknown, coeff in _linear_terms(value, set(free), set()):
+            for unknown, coeff in _linear_terms(value, free):
                 g2[unknown] = g2.get(unknown, ex.number(0)) + c * coeff
             g2 = {k: v for k, v in g2.items() if not is_zero(v)}
             if g2:
@@ -400,35 +378,15 @@ def _solve_order_zero_block(constraints, comps, free):
     return True
 
 
-def _linear_terms(value: Expr, func_unknowns, const_unknowns):
+def _linear_terms(value: Expr, func_unknowns):
     """Decompose a linear expression into [(unknown, scalar coeff)]."""
-    if value.den != ex.SUM_ONE:
-        den = Expr(value.den)
-        if not den.is_constant():
-            raise SolverError("nonlinear substitution value")
-        inv = ex.number(1) / den
-    else:
-        inv = ex.number(1)
-    out = []
-    for m in value.num:
-        unknown = None
-        coeff_pows = []
-        for key, exp_ in m.pows:
-            if key[0] == "f" and (not func_unknowns or key[1] in func_unknowns):
-                if unknown is not None or exp_ != 1:
-                    raise SolverError("substitution value is not linear")
-                unknown = (key[1], key[2])
-            elif key[0] == "p" and key[1] in const_unknowns:
-                if unknown is not None or exp_ != 1:
-                    raise SolverError("substitution value is not linear")
-                unknown = ("const", key[1])
-            else:
-                coeff_pows.append((key, exp_))
-        if unknown is None:
-            raise SolverError("substitution value has a term without unknowns")
-        coeff = Expr((ex.Mono(m.coeff, tuple(coeff_pows), m.expl, m.trig),)) * inv
-        out.append((unknown, coeff))
-    return out
+    try:
+        terms = ex.linear_terms(value, func_unknowns, split_constants=True)
+    except ex.UnsupportedExpressionError as err:
+        raise SolverError(f"substitution value: {err}") from None
+    if any(unknown is None for unknown, _c, _r in terms):
+        raise SolverError("substitution value has a term without unknowns")
+    return [(unknown, coeff * rest) for unknown, coeff, rest in terms]
 
 
 def _substitute_everywhere(comps, funcs=None, params=None):
@@ -528,35 +486,18 @@ def apply_algebraic_constraints(
     res = algebraic_constraint_residual(A, frame, C)
 
     rows: List[Dict[str, Fraction]] = []
-    const_set = set(fam.free_constants)
     for a in range(3):
         for b in range(3):
-            e = res[a][b]
-            if not e:
-                continue
-            groups: Dict[tuple, Dict[str, Expr]] = {}
-            for m in e.num:
-                unknown = None
-                profile = []
-                for key, exp_ in m.pows:
-                    if key[0] == "p" and key[1] in const_set:
-                        unknown = key[1]
-                    else:
-                        profile.append((key, exp_))
-                if unknown is None:
-                    continue
-                g = groups.setdefault((tuple(profile), m.expl, m.trig), {})
-                g[unknown] = g.get(unknown, ex.number(0)) + ex.number(m.coeff)
-            for g in groups.values():
-                row = {}
-                for name, coeff in g.items():
-                    r = coeff.as_rational()
-                    if r is None:
-                        raise SolverError("constant constraint with non-rational coefficient")
-                    if r:
-                        row[name] = r
-                if row:
-                    rows.append(row)
+            try:
+                terms = ex.linear_terms(res[a][b], params=fam.free_constants)
+            except ex.UnsupportedExpressionError as err:
+                raise SolverError(f"algebraic constraint [{a}][{b}]: {err}") from None
+            groups: Dict[Expr, Dict[str, Fraction]] = {}
+            for name, coeff, profile in terms:
+                if name is not None:
+                    g = groups.setdefault(profile, {})
+                    g[name] = g.get(name, 0) + coeff.as_rational()
+            rows.extend({n: r for n, r in g.items() if r} for g in groups.values())
 
     forced = _solve_homogeneous_rational(rows, fam.free_constants)
     if forced is None:
@@ -584,32 +525,8 @@ def _solve_homogeneous_rational(rows, unknowns):
     """Names forced to zero by the homogeneous system, or None when a
     nontrivial combination remains free (not expected for these groups)."""
     unknowns = list(unknowns)
-    if not unknowns:
-        return []
-    n = len(unknowns)
-    mat = [[row.get(u, Fraction(0)) for u in unknowns] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = None
-        for rr in range(r, len(mat)):
-            if mat[rr][c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for rr in range(len(mat)):
-            if rr != r and mat[rr][c]:
-                f = mat[rr][c]
-                mat[rr] = [v - f * w for v, w in zip(mat[rr], mat[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) == n:
-        return list(unknowns)
-    return None
+    _rref, pivots = row_reduce([[row.get(u, 0) for u in unknowns] for row in rows])
+    return unknowns if len(pivots) == len(unknowns) else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Report generation, manifests and the command-line surface."""
 
 import dataclasses
+import hashlib
 import json
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -460,6 +462,17 @@ class TestSecondOrderCheck:
         failing = [ln for ln in captured.out.splitlines() if "[FAIL]" in ln]
         assert len(failing) == 1
 
+    def test_overflow_raises_no_numpy_warning(self, capsys, tmp_path):
+        path = tmp_path / "m.manifest"
+        path.write_text(_OVERFLOW_METRIC_MANIFEST)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["verify", "--manifest", str(path), "--samples", "20"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "[FAIL] second-order scalar conditions (numeric): nan" in captured.out
+        assert captured.err == ""
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_run_verification_rejects_vacuous_samples(self, models, samples):
         with pytest.raises(ValueError):
@@ -503,3 +516,33 @@ def test_load_manifest_fuzz_raises_only_manifest_error(exported_manifests, tmp_p
         load_manifest(str(path))
     except ManifestError:
         pass
+
+
+# sha256 of the exact symbolic outputs, `solve`/`errata --group G --format
+# json` stdout; the same under PYTHONHASHSEED 1, 2 and 3.  Float residuals
+# (`verify`) are left out: they may differ across numpy builds.
+_OUTPUT_SHA256 = {
+    ("solve", "I"): "1c0b1bd8b98fc4794cfca5b3ed80483aea46e4a8988a04badcf931e0fb8b9e21",
+    ("solve", "II"): "f35a83964545b9ff74df8fa8cd8cf764f665e82184be40472fcc4442a7995415",
+    ("solve", "III"): "8987316e6b1874a3bedbc0526f4368de2e8da000dae75e5be1bdf422226c4563",
+    ("solve", "IV"): "ccb8b50f639ac41d9b234f9bbe9d067ddd0957b077ad74a90d57cb4705a95615",
+    ("solve", "V"): "5586f26e1188eb8dfd3f6a8113ba78de85dfddf7a2922edb0352a48064121063",
+    ("solve", "VI"): "74006bdff5daaee8026111eb4884419db002f1d0a8cbe5805cecb3c0900e47ac",
+    ("solve", "VII"): "79f348e9fcd92bd06b07a57599ea9b7d965fbdd0fa6d466f3a7531beb95cab14",
+    ("errata", "I"): "95df765fac43e96e06844d917720ff0ae3ded63773181f1540abbbc385469d09",
+    ("errata", "II"): "7c6c92a3cc33d52dbe272d1ffa7bca9e8f17d528d09c9140ae0f6fdf788a2dd2",
+    ("errata", "III"): "88e1f68163f7ccb14c54fa512c92f95a354d85b13a339eec2ed461d195dcea13",
+    ("errata", "IV"): "6b6c94d79aea4974048d17deba852edbf3150ca11bf2082e92d6067230da9f6a",
+    ("errata", "V"): "db16bf4f605405415d5941dd824251e4436839e2d7ff2cc2ee482a61166e8d00",
+    ("errata", "VI"): "e8b298916803a8f3a76248e6148d045cc4b54c511c61d6078f76ede2f5bd8d96",
+    ("errata", "VII"): "38c0abd08e2f77e774ca6c25dda423c2095f3390a5d25019ca162d095f69d950",
+    ("errata", "VIII"): "3231c9af8f6e90bfa03f2a7170853b7b74dd0212c200a929cad91d2749d05950",
+    ("errata", "IX"): "7a5a46993d4f49c8de7a8af401dbee5831e030f34611f8d4119fa3f82e7c5b14",
+}
+
+
+@pytest.mark.parametrize("command,group", list(_OUTPUT_SHA256), ids=lambda v: v)
+def test_exact_output_is_pinned(capsys, command, group):
+    assert cli.main([command, "--group", group, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _OUTPUT_SHA256[(command, group)]

@@ -382,3 +382,76 @@ def test_verify_output_independent_of_sort_key_cache(capsys):
     assert cli.main(["verify", "--group", "VIII", "--format", "json"]) == 0
     warm = capsys.readouterr().out
     assert cold == warm
+
+
+# ---------------------------------------------------------------------------
+# linear term splitting
+# ---------------------------------------------------------------------------
+
+_LINEAR_FUNCS = ("f1", "f2")
+_LINEAR_PARAMS = ("ta",)
+_unknowns = st.sampled_from(
+    [ex.func("f1"), ex.func("f1", 2), ex.func("f2", 1), ex.param("ta"), ex.number(1)]
+)
+_constants = st.sampled_from(
+    [ex.number(1), ex.number(Fraction(-3, 2)), ex.param("k"), ex.param("q") ** -1,
+     ex.sin(ex.param("alpha")), ex.cos(ex.param("alpha")) * ex.param("k")]
+)
+
+
+@st.composite
+def linear_combinations(draw):
+    e = ex.number(0)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        e = e + draw(_constants) * draw(_unknowns) * draw(class_exprs(depth=1))
+    if draw(st.booleans()):
+        e = e / (1 + ex.param("k") ** 2)
+    return e
+
+
+def _as_expr(unknown):
+    if unknown is None:
+        return ex.number(1)
+    if isinstance(unknown, str):
+        return ex.param(unknown)
+    return ex.func(unknown.name, unknown.order)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(e=linear_combinations(), split=st.booleans())
+def test_linear_terms_rebuild_the_expression(e, split):
+    terms = ex.linear_terms(e, _LINEAR_FUNCS, _LINEAR_PARAMS, split_constants=split)
+    assert len(terms) == len(e.num)
+    rebuilt = ex.number(0)
+    for unknown, coeff, rest in terms:
+        assert coeff.is_constant()
+        assert not ex.free_symbols(rest)["funcs"] & {
+            ex.FuncSymbol(n, k) for n in _LINEAR_FUNCS for k in range(3)
+        }
+        if split:
+            assert not ex.free_symbols(rest)["params"]
+        rebuilt = rebuilt + coeff * _as_expr(unknown) * rest
+    assert rebuilt == e
+
+
+def test_linear_terms_group_by_rest():
+    e = parse("3*f1*exp(u3) + k*f2'*exp(u3) - ta*exp(u3) + 5*u1", functions=_LINEAR_FUNCS)
+    terms = ex.linear_terms(e, _LINEAR_FUNCS, _LINEAR_PARAMS, split_constants=True)
+    by_unknown = {u: (c, r) for u, c, r in terms}
+    assert by_unknown[ex.FuncSymbol("f1", 0)] == (ex.number(3), ex.exp(ex.coord(3)))
+    assert by_unknown[ex.FuncSymbol("f2", 1)] == (ex.param("k"), ex.exp(ex.coord(3)))
+    assert by_unknown["ta"] == (ex.number(-1), ex.exp(ex.coord(3)))
+    assert by_unknown[None] == (ex.number(5), ex.coord(1))
+    plain = ex.linear_terms(e, _LINEAR_FUNCS, _LINEAR_PARAMS)
+    assert [(u, c) for u, c, _r in plain if u == ex.FuncSymbol("f2", 1)] == [
+        (ex.FuncSymbol("f2", 1), ex.number(1))
+    ]
+
+
+@pytest.mark.parametrize(
+    "text", ["f1^2 + f2", "f1*f2", "f1*ta", "f1/(u1 + 1)"], ids=["square", "product", "mixed", "denominator"]
+)
+def test_linear_terms_reject_nonlinear_input(text):
+    e = parse(text, functions=_LINEAR_FUNCS)
+    with pytest.raises(UnsupportedExpressionError):
+        ex.linear_terms(e, _LINEAR_FUNCS, _LINEAR_PARAMS)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +110,28 @@ class TestStructureConstants:
         third = VectorField.spatial(parse("u1"), 0, 0)
         C = structure_constants_from_frame([D1, D2, third])
         assert C[0, 2, 0] == ex.number(1)
+
+    def test_degenerate_frame_with_coupled_rows(self):
+        # d1+d2, d1-d2 and u1*d1 span two directions; each bracket has a unique
+        # expansion, but only after the rows that couple c1 and c2 are solved
+        plus = VectorField.spatial(1, 1, 0)
+        minus = VectorField.spatial(1, -1, 0)
+        third = VectorField.spatial(parse("u1"), 0, 0)
+        C = structure_constants_from_frame([plus, minus, third])
+        half = ex.number(Fraction(1, 2))
+        assert C.nonzero_entries() == [
+            (0, 2, 0, half), (0, 2, 1, half), (1, 2, 0, half), (1, 2, 1, half)
+        ]
+
+    def test_degenerate_frame_bracket_outside_span(self):
+        f2 = VectorField.spatial(0, parse("u1^2"), 0)
+        with pytest.raises(NonClosingFrameError, match="lies outside the frame span"):
+            structure_constants_from_frame([D1, f2, D2])
+
+    def test_degenerate_frame_without_unique_expansion(self):
+        twice = VectorField.spatial(2, 0, 0)
+        with pytest.raises(NonClosingFrameError, match=r"cannot uniquely resolve bracket \[1,2\]"):
+            structure_constants_from_frame([D1, twice, D2])
 
     def test_one_dimensional_distribution_rejected(self):
         f2 = VectorField.spatial(parse("u2"), 0, 0)

@@ -2,10 +2,13 @@
 and potential reconstruction."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from symlab import catalog, expr as ex, solver
+from symlab._symint import row_reduce
 from symlab.emfield import FieldTensor, Potential, field_from_potential
 from symlab.expr import is_zero, parse
 from symlab.solver import (
@@ -126,6 +129,27 @@ class TestSolveSolvable:
         assert fam.system.satisfied_by(fam.as_field_tensor())
         # growth rate follows the free structure constant
         assert ex.substitute(f23, coords={3: ex.number(0)}) == ex.func("f3")
+
+
+class TestRowReduce:
+    def test_rank_and_form_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261018)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            # few distinct entries, so rank deficiency is common
+            matrix = [[rng.choice((-2, -1, 0, 0, 0, 1, 3)) for _ in range(cols)] for _ in range(rows)]
+            rref, pivots = row_reduce(matrix)
+            want, want_pivots = sympy.Matrix(matrix).rref()
+            assert len(pivots) == sympy.Matrix(matrix).rank()
+            assert tuple(pivots) == tuple(want_pivots)
+            assert rref == [
+                [Fraction(int(want[r, c].p), int(want[r, c].q)) for c in range(cols)]
+                for r in range(rows)
+            ]
+
+    def test_empty_matrix_has_rank_zero(self):
+        assert row_reduce([]) == ([], [])
 
 
 class TestApplyAlgebraicConstraints:
