@@ -178,6 +178,19 @@ def _kernel_source(names: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the exceptions a kernel evaluation turns into IntegrationError
+_KERNEL_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+
+
+def _kernel_error(err: Exception, u: List[float]) -> IntegrationError:
+    """The IntegrationError for ``err``, raised by a kernel evaluated at coordinates u."""
+    if isinstance(err, ZeroDivisionError):
+        # the kernel evaluates the frame too, which may divide by zero
+        # where the chart degenerates (the rotation chart at u1 = 0)
+        return IntegrationError(f"metric singular at u = {u}: a metric or frame entry divides by zero")
+    return IntegrationError(f"state left the representable domain: {err}")
+
+
 @dataclass
 class ModelInstance:
     """A model with concrete function bindings and parameter values.
@@ -227,14 +240,8 @@ class ModelInstance:
         args = np.asarray(y, dtype=float).tolist()
         try:
             return self._kernel(*args, flow)
-        except (OverflowError, ValueError) as err:
-            raise IntegrationError(f"state left the representable domain: {err}") from None
-        except ZeroDivisionError:
-            # the kernel evaluates the frame too, which may divide by zero
-            # where the chart degenerates (the rotation chart at u1 = 0)
-            raise IntegrationError(
-                f"metric singular at u = {args[:4]}: a metric or frame entry divides by zero"
-            ) from None
+        except _KERNEL_ERRORS as err:
+            raise _kernel_error(err, args[:4]) from None
 
     def rhs(self, y) -> np.ndarray:
         """The canonical flow (du, dp) at the phase-space point y = (u, p)."""
@@ -338,6 +345,74 @@ def _hmax(tol: float) -> float:
     return _HMAX_REF * (tol / 1e-10) ** _HMAX_EXPONENT
 
 
+def _step_source() -> str:
+    """Source of ``_step(kernel, h, y, k0) -> (ynew, err, k8)``, one Verner
+    attempt of length h from the 8 floats y, whose derivative is k0.
+
+    Stage s calls ``kernel(s0..s7, True)`` at y + sum_j (h*a_sj) k_j; ynew is
+    y + sum_j (h*b_j) k_j and err is 0.0 + sum_j (h*e_j) k_j.  Zero
+    coefficients are left out, and each sum adds its terms left to right in
+    j order, which is how a running sum of float64 arrays rounds: the step
+    equals an elementwise numpy stage loop bit for bit.  A kernel error is
+    reported at the coordinates s0..s3 of the stage that raised it.  Expects
+    ``_KERNEL_ERRORS`` and ``_kernel_error`` in its globals.
+    """
+
+    def names(prefix: str) -> str:
+        return ", ".join(f"{prefix}{i}" for i in range(8))
+
+    lines = [
+        "def _step(kernel, h, y, k0):",
+        f"    {names('y')}, = y",
+        f"    {names('k0_')}, = k0",
+        "    try:",
+    ]
+
+    def combination(indent: str, tag: str, start: str, coeffs) -> List[str]:
+        # binds h*c_j to {tag}j once; returns start_i + sum_j {tag}j*k_j_i
+        used = [j for j, c in enumerate(coeffs) if c]
+        lines.extend(f"{indent}{tag}{j} = h * {coeffs[j]!r}" for j in used)
+        return [start.format(i) + "".join(f" + {tag}{j}*k{j}_{i}" for j in used) for i in range(8)]
+
+    for s in range(1, 9):
+        point = combination("        ", f"c{s}_", "y{}", _V65_A[s])
+        lines += [f"        s{i} = {src}" for i, src in enumerate(point)]
+        lines += [f"        k{s} = kernel({names('s')}, True)", f"        {names(f'k{s}_')}, = k{s}"]
+    lines += [
+        "    except _KERNEL_ERRORS as err:",
+        "        raise _kernel_error(err, [s0, s1, s2, s3]) from None",
+    ]
+    ynew = combination("    ", "b", "y{}", _V65_B)
+    err = combination("    ", "e", "0.0", _V65_E)
+    lines.append(f"    return ({', '.join(ynew)}), ({', '.join(err)}), k8")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=1)
+def _verner_step():
+    """The generated ``_step``, built on first use rather than at import."""
+    scope = {"_KERNEL_ERRORS": _KERNEL_ERRORS, "_kernel_error": _kernel_error}
+    exec(_step_source(), scope)  # noqa: S102 - generated from the coefficient tuples
+    return scope["_step"]
+
+
+def _error_norm(err, y, ynew, tol: float) -> float:
+    """max_i |err_i| / (tol + tol * max(|y_i|, |ynew_i|)), NaN when any term is NaN.
+
+    Equals numpy's ``max(abs(err) / (tol + tol * maximum(abs(y), abs(ynew))))``
+    for every input: numpy's max and maximum propagate NaN, where Python's
+    ``max`` keeps its first argument when a later one is NaN.
+    """
+    worst = 0.0
+    for e, a, b in zip(err, y, ynew):
+        r = abs(e) / (tol + tol * max(abs(a), abs(b)))
+        if r != r or b != b:  # max() keeps abs(a) over a NaN abs(b)
+            return math.nan
+        if r > worst:
+            worst = r
+    return worst
+
+
 def integrate(
     inst: ModelInstance,
     state0: PhaseState,
@@ -351,6 +426,9 @@ def integrate(
     tolerance as both floors; the step length is additionally capped by a
     tolerance-dependent bound (see _hmax).  Trajectories whose stiffness
     exhausts the step budget raise IntegrationError instead of spinning.
+    Each attempt is one generated, numpy-free function on plain floats
+    (see _step_source) that calls the instance's kernel directly; it is
+    bit-identical to the numpy stage loop it replaced.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -358,50 +436,34 @@ def integrate(
     if t0 == t1:
         raise ValueError("empty integration span")
     direction = 1.0 if t1 > t0 else -1.0
-    y = state0.as_vector()
+    traj = Trajectory(taus=[t0], states=[state0.as_vector()], tolerance=tol, rhs_evals=1)
+    y = traj.states[0].tolist()
     t = t0
     hmax = _hmax(tol)
     h = direction * min(hmax, abs(t1 - t0) / 10.0)
-    traj = Trajectory(taus=[t0], states=[y.copy()], tolerance=tol, rhs_evals=1)
-    k = [None] * 9
-    k0 = inst.rhs(y)
+    step = _verner_step()
+    kernel = inst._kernel
+    k0 = inst._call(y, True)
     span = abs(t1 - t0)
     end_eps = 1e-12 * max(1.0, span)
     min_step = 1e-13 * max(1.0, span)
     while (t1 - t) * direction > end_eps:
-        clamped = abs(h) >= abs(t1 - t)
-        if clamped:
+        if abs(h) >= abs(t1 - t):
             h = t1 - t
-        k[0] = k0
-        for s in range(1, 9):
-            ys = y.copy()
-            for j, a in enumerate(_V65_A[s]):
-                if a:
-                    ys += (h * a) * k[j]
-            k[s] = inst.rhs(ys)
+        ynew, err, k8 = step(kernel, h, y, k0)
         traj.rhs_evals += 8
-        ynew = y.copy()
-        for j, b in enumerate(_V65_B):
-            if b:
-                ynew += (h * b) * k[j]
-        err = np.zeros_like(y)
-        for j, e in enumerate(_V65_E):
-            if e:
-                err += (h * e) * k[j]
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
-        err_norm = float(np.max(np.abs(err) / scale))
+        err_norm = _error_norm(err, y, ynew, tol)
         if err_norm <= 1.0:
             t += h
             y = ynew
-            k0 = k[8]  # FSAL: the last stage is the derivative at the new point
+            k0 = k8  # FSAL: the last stage is the derivative at the new point
             traj.taus.append(t)
-            traj.states.append(y.copy())
+            traj.states.append(np.array(y))
             traj.accepted += 1
             traj.h_min = min(traj.h_min, abs(h))
             traj.h_max = max(traj.h_max, abs(h))
         else:
             traj.rejected += 1
-            k0 = k[0]
         factor = 0.9 * err_norm ** (-1.0 / 6.0) if err_norm > 0 else 5.0
         h = direction * min(abs(h) * min(5.0, max(0.2, factor)), hmax)
         if abs(h) < min_step and (t1 - t) * direction > abs(h):

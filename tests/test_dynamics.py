@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symlab import catalog, dynamics, emfield, expr as ex
 from symlab.dynamics import (
@@ -264,3 +265,161 @@ class TestDiagnostics:
         assert len(rows) == len(traj.taus)
         assert all(len(r) == 13 for r in rows)
         assert rows[0][0] == 0.0
+
+
+def _reference_integrate(inst, state0, tau_span, tol=1e-10, max_steps=200_000):
+    """``integrate`` with the numpy stage loop it was written with: each stage
+    point, ynew and err are running sums of float64 arrays, k_j from
+    ``inst.rhs``."""
+    t0, t1 = float(tau_span[0]), float(tau_span[1])
+    direction = 1.0 if t1 > t0 else -1.0
+    y = state0.as_vector()
+    t = t0
+    hmax = dynamics._hmax(tol)
+    h = direction * min(hmax, abs(t1 - t0) / 10.0)
+    traj = dynamics.Trajectory(taus=[t0], states=[y.copy()], tolerance=tol, rhs_evals=1)
+    k = [None] * 9
+    k0 = inst.rhs(y)
+    span = abs(t1 - t0)
+    end_eps = 1e-12 * max(1.0, span)
+    min_step = 1e-13 * max(1.0, span)
+    while (t1 - t) * direction > end_eps:
+        if abs(h) >= abs(t1 - t):
+            h = t1 - t
+        k[0] = k0
+        for s in range(1, 9):
+            ys = y.copy()
+            for j, a in enumerate(dynamics._V65_A[s]):
+                if a:
+                    ys += (h * a) * k[j]
+            k[s] = inst.rhs(ys)
+        traj.rhs_evals += 8
+        ynew = y.copy()
+        for j, b in enumerate(dynamics._V65_B):
+            if b:
+                ynew += (h * b) * k[j]
+        err = np.zeros_like(y)
+        for j, e in enumerate(dynamics._V65_E):
+            if e:
+                err += (h * e) * k[j]
+        err_norm = _reference_error_norm(err, y, ynew, tol)
+        if err_norm <= 1.0:
+            t += h
+            y = ynew
+            k0 = k[8]
+            traj.taus.append(t)
+            traj.states.append(y.copy())
+            traj.accepted += 1
+            traj.h_min = min(traj.h_min, abs(h))
+            traj.h_max = max(traj.h_max, abs(h))
+        else:
+            traj.rejected += 1
+        factor = 0.9 * err_norm ** (-1.0 / 6.0) if err_norm > 0 else 5.0
+        h = direction * min(abs(h) * min(5.0, max(0.2, factor)), hmax)
+        if abs(h) < min_step and (t1 - t) * direction > abs(h):
+            raise IntegrationError(f"step size underflow at tau = {t}")
+        if traj.accepted + traj.rejected > max_steps:
+            raise IntegrationError(
+                f"step budget exhausted at tau = {t:.6g}: the trajectory has "
+                f"become numerically intractable (|y| up to {float(np.max(np.abs(y))):.3g})"
+            )
+    return traj
+
+
+def _reference_error_norm(err, y, ynew, tol):
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(ynew))
+        return float(np.max(np.abs(err) / scale))
+
+
+def _raising_on_call(kernel, n, exc):
+    """``kernel`` that raises ``exc`` on its n-th call."""
+    calls = [0]
+
+    def patched(*args):
+        calls[0] += 1
+        if calls[0] == n:
+            raise exc
+        return kernel(*args)
+
+    return patched
+
+
+# components that stress the error norm: NaN, infinities, signed zeros and subnormals
+_NORM_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+_NORM_VECTORS = st.lists(_NORM_FLOATS, min_size=8, max_size=8)
+
+
+class TestStep:
+    """The generated Verner attempt against the numpy stage loop."""
+
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_bit_identical_to_numpy_reference(self, models, tag):
+        m = models[tag]
+        inst = standard_instance(m)
+        span = (0.0, min(TRACTABLE_SPAN[tag], 2.0))
+        for st0 in random_initial_states(m, 2, seed=2026, radius=0.3):
+            got = integrate(inst, st0, span, 1e-10)
+            ref = _reference_integrate(inst, st0, span, 1e-10)
+            assert got.taus == ref.taus
+            assert len(got.states) == len(ref.states)
+            for a, b in zip(got.states, ref.states):
+                assert isinstance(a, np.ndarray) and a.dtype == np.float64
+                assert np.array_equal(a, b)
+            assert (got.accepted, got.rejected, got.rhs_evals) == (ref.accepted, ref.rejected, ref.rhs_evals)
+            assert (got.h_min, got.h_max) == (ref.h_min, ref.h_max)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        err=_NORM_VECTORS,
+        y=_NORM_VECTORS,
+        ynew=_NORM_VECTORS,
+        tol=st.one_of(st.sampled_from([1e-10, 5e-324]), st.floats(min_value=5e-324, max_value=1e300)),
+    )
+    def test_error_norm_matches_numpy(self, err, y, ynew, tol):
+        got = dynamics._error_norm(err, y, ynew, tol)
+        want = _reference_error_norm(np.array(err), np.array(y), np.array(ynew), tol)
+        assert type(got) is float
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "exc, match",
+        [(ZeroDivisionError("float division by zero"), "metric singular at u = "),
+         (OverflowError("math range error"), "representable domain: math range error")],
+    )
+    def test_stage_error_messages(self, models, exc, match):
+        # the 5th kernel call is stage 4 of the first attempt: its point is
+        # not the start state
+        m = models["IX"]
+        inst = standard_instance(m)
+        st0 = random_initial_states(m, 1, seed=2026, radius=0.3)[0]
+        kernel = inst._kernel
+        messages = []
+        for run in (_reference_integrate, integrate):
+            inst._kernel = _raising_on_call(kernel, 5, exc)
+            with pytest.raises(IntegrationError, match=match) as info:
+                run(inst, st0, (0.0, 2.0), 1e-10)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert str(list(st0.coordinates)) not in messages[1]
+
+    @pytest.mark.parametrize(
+        "max_steps, match",
+        # the runaway flow leaves double range after about 300 steps
+        [(3000, "non-finite metric determinant"), (100, r"step budget exhausted .*\|y\| up to")],
+    )
+    def test_runaway_messages(self, models, max_steps, match):
+        inst = standard_instance(models["V"], bindings=RUNAWAY_GAMMA)
+        st0 = random_initial_states(models["V"], 1, seed=7, radius=0.3)[0]
+        messages = []
+        for run in (_reference_integrate, integrate):
+            with pytest.raises(IntegrationError, match=match) as info:
+                run(inst, st0, (0.0, 10.0), 1e-10, max_steps=max_steps)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
