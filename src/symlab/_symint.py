@@ -23,6 +23,7 @@ from .expr import (
     _combine,
     _expand_raw,
     _mono_mul,
+    _q,
     _sorted,
     cp_add,
     cp_mul,
@@ -49,12 +50,12 @@ def cp_invert(cp) -> tuple:
     if r is not None:
         if not r:
             raise ZeroDivisionError("inverting the zero scalar")
-        return cp_from_rat(1 / r)
+        return cp_from_rat(_ONE / r)
     if len(cp) != 1:
         raise UnsupportedExpressionError(f"cannot invert scalar sum {cp!r}")
     cmono, coeff = cp[0]
     inv_mono = tuple((key, -e) for key, e in cmono)
-    return ((inv_mono, 1 / coeff),)
+    return ((inv_mono, _q(_ONE / coeff)),)
 
 
 def cp_sqrt(cp) -> Optional[tuple]:
@@ -78,7 +79,7 @@ def cp_sqrt(cp) -> Optional[tuple]:
     if num is None or den is None:
         return None
     half = tuple((key, e // 2) for key, e in cmono)
-    return ((half, Fraction(num, den)),)
+    return ((half, _q(Fraction(num, den))),)
 
 
 def _isqrt_exact(n: int) -> Optional[int]:
@@ -185,14 +186,14 @@ def _mono_antiderivative(m: Mono, i: int) -> Expr:
         # t^m exp(lam t): downward recursion in the power
         lam_inv = cp_invert(lam)
         terms = []
-        coeff = cp_from_rat(_ONE)
+        coeff = cp_from_rat(1)
         for j in range(power, -1, -1):
             coeff = cp_mul(coeff, lam_inv)
             terms.append((j, coeff))
-            coeff = cp_scale(coeff, Fraction(-j))
+            coeff = cp_scale(coeff, -j)
         out = []
         for j, cpc in terms:
-            t_part = Mono(_ONE, ((("u", i), j),) if j else (), _lf_with(i, lam), ())
+            t_part = Mono(1, ((("u", i), j),) if j else (), _lf_with(i, lam), ())
             scaled = [Mono(c2, mm, LF_ZERO, ()) for mm, c2 in cpc]
             for s in scaled:
                 for x in _mono_mul(s, t_part):
@@ -212,11 +213,11 @@ def _mono_antiderivative(m: Mono, i: int) -> Expr:
     want_sin = fn == "sin"
     for j in range(power, -1, -1):
         if j == power:
-            r_s = cp_from_rat(_ONE) if want_sin else CP_ZERO
-            r_c = CP_ZERO if want_sin else cp_from_rat(_ONE)
+            r_s = cp_from_rat(1) if want_sin else CP_ZERO
+            r_c = CP_ZERO if want_sin else cp_from_rat(1)
         else:
-            r_s = cp_scale(ps[j + 1], Fraction(-(j + 1)))
-            r_c = cp_scale(qs[j + 1], Fraction(-(j + 1)))
+            r_s = cp_scale(ps[j + 1], -(j + 1))
+            r_c = cp_scale(qs[j + 1], -(j + 1))
         # [[lam, -mu], [mu, lam]] (p_j, q_j)^T = (r_s, r_c)^T
         ps[j] = cp_mul(D_inv, cp_add(cp_mul(lam, r_s), cp_mul(mu, r_c)))
         qs[j] = cp_mul(D_inv, cp_add(cp_mul(lam, r_c), cp_neg(cp_mul(mu, r_s))))
@@ -226,7 +227,7 @@ def _mono_antiderivative(m: Mono, i: int) -> Expr:
             if not cpc:
                 continue
             base = Mono(
-                _ONE,
+                1,
                 ((("u", i), j),) if j else (),
                 _lf_with(i, lam),
                 ((trig_fn, lf, 1),),

@@ -61,9 +61,18 @@ __all__ = [
 NCOORDS = 4
 COORD_NAMES = ("u0", "u1", "u2", "u3")
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+
+Number = Union[int, Fraction]
+
+
+def _q(c):
+    """A coefficient in stored form: an ``int`` when integral, else the
+    ``Fraction``.  Both hash, compare and sort alike, and ints do it in C."""
+    if type(c) is int:
+        return c
+    return c.numerator if c.denominator == 1 else c
 
 
 class ExprError(Exception):
@@ -152,9 +161,10 @@ def _sorted(items):
 # sines/cosines.  Used for linear-form coefficients and structure constants.
 #
 # cmono: sorted tuple of (key, exponent); key is ('p', name) or
-#        ('tc', 'sin'|'cos', base, Fraction multiple)  with base '' meaning a
+#        ('tc', 'sin'|'cos', base, rational multiple)  with base '' meaning a
 #        pure rational angle.
-# cpoly: sorted tuple of (cmono, Fraction coefficient).
+# cpoly: sorted tuple of (cmono, coefficient); a coefficient is an int, or a
+#        Fraction when not integral.
 # ---------------------------------------------------------------------------
 
 CP_ZERO = ()
@@ -163,7 +173,8 @@ CP_ZERO = ()
 def _tc_reduce(powdict):
     """Rewrite cos(x)^m (m >= 2) as (1 - sin(x)^2)^(m//2) * cos(x)^(m%2).
 
-    Returns a list of (Fraction, powdict) terms.  Works on any factor dict;
+    Returns a list of (coefficient, powdict) terms, the coefficient an int, or
+    a Fraction when not integral.  Works on any factor dict;
     only constant-angle cosine keys with exponent >= 2 are touched.
     """
     target = None
@@ -172,14 +183,14 @@ def _tc_reduce(powdict):
             target = key
             break
     if target is None:
-        return [(_ONE, powdict)]
+        return [(1, powdict)]
     e = powdict[target]
     half, rem = divmod(e, 2)
     sin_key = ("tc", "sin", target[2], target[3])
     out = []
     # (1 - s^2)^half expanded binomially
     for j in range(half + 1):
-        coeff = Fraction(math.comb(half, j)) * (_ONE if j % 2 == 0 else -_ONE)
+        coeff = math.comb(half, j) * (1 if j % 2 == 0 else -1)
         d = dict(powdict)
         if rem:
             d[target] = rem
@@ -199,8 +210,8 @@ def _cp_norm(terms: Iterable) -> tuple:
     acc = {}
     for cmono, coeff in terms:
         if coeff:
-            acc[cmono] = acc.get(cmono, _ZERO) + coeff
-    return _sorted((m, c) for m, c in acc.items() if c)
+            acc[cmono] = acc.get(cmono, 0) + coeff
+    return _sorted((m, _q(c)) for m, c in acc.items() if c)
 
 
 def cp_add(a, b):
@@ -211,7 +222,7 @@ def cp_neg(a):
     return tuple((m, -c) for m, c in a)
 
 
-def cp_scale(a, r: Fraction):
+def cp_scale(a, r: Number):
     if not r:
         return CP_ZERO
     return _cp_norm((m, c * r) for m, c in a)
@@ -233,16 +244,16 @@ def cp_mul(a, b):
     return _cp_norm(terms)
 
 
-def cp_from_rat(r: Fraction):
-    return (((), Fraction(r)),) if r else CP_ZERO
+def cp_from_rat(r: Number):
+    return (((), _q(Fraction(r))),) if r else CP_ZERO
 
 
 def cp_rational(a) -> Optional[Fraction]:
     """The value of a cpoly if it is a plain rational, else None."""
     if not a:
-        return _ZERO
+        return Fraction(0)
     if len(a) == 1 and a[0][0] == ():
-        return a[0][1]
+        return Fraction(a[0][1])
     return None
 
 
@@ -294,6 +305,11 @@ LF_ZERO = (CP_ZERO,) * NCOORDS
 
 
 def lf_add(a, b):
+    # the operands are canonical, so adding the zero form returns the other
+    if b == LF_ZERO:
+        return a
+    if a == LF_ZERO:
+        return b
     return tuple(cp_add(x, y) for x, y in zip(a, b))
 
 
@@ -337,8 +353,9 @@ def _lf_str(a) -> str:
 # ---------------------------------------------------------------------------
 # monomials
 #
+# coeff: int, or Fraction when not integral (see _q); so is a 'tc' multiple
 # pows: sorted tuple of (key, exponent) with key one of
-#       ('u', i) | ('p', name) | ('tc', fn, base, Fraction) | ('f', name, order)
+#       ('u', i) | ('p', name) | ('tc', fn, base, rational) | ('f', name, order)
 # expl: linear form, the argument of a single exponential factor
 # trig: sorted tuple of (fn, linform, exponent); at most one positive exponent
 #       survives normalization and it is always 1.
@@ -346,7 +363,7 @@ def _lf_str(a) -> str:
 
 
 class Mono(NamedTuple):
-    coeff: Fraction
+    coeff: Number
     pows: tuple
     expl: tuple
     trig: tuple
@@ -355,7 +372,7 @@ class Mono(NamedTuple):
         return (self.pows, self.expl, self.trig)
 
 
-MONO_ONE = Mono(_ONE, (), LF_ZERO, ())
+MONO_ONE = Mono(1, (), LF_ZERO, ())
 
 
 def _mono_sort_key(m: Mono):
@@ -416,8 +433,8 @@ def _combine(monos: Iterable[Mono]):
     acc = {}
     for m in monos:
         k = m.key()
-        acc[k] = acc.get(k, _ZERO) + m.coeff
-    out = [Mono(c, *k) for k, c in acc.items() if c]
+        acc[k] = acc.get(k, 0) + m.coeff
+    out = [Mono(_q(c), *k) for k, c in acc.items() if c]
     out.sort(key=_mono_sort_key)
     return tuple(out)
 
@@ -458,8 +475,6 @@ SUM_ONE = (MONO_ONE,)
 # Expr
 # ---------------------------------------------------------------------------
 
-Number = Union[int, Fraction]
-
 
 class Expr:
     """Immutable canonical expression: a sum of monomials over a denominator.
@@ -499,7 +514,7 @@ class Expr:
 
     @staticmethod
     def from_number(value: Number) -> "Expr":
-        r = Fraction(value)
+        r = _q(Fraction(value))
         if not r:
             return Expr(())
         return Expr((Mono(r, (), LF_ZERO, ()),))
@@ -598,9 +613,9 @@ class Expr:
         if self.den != SUM_ONE:
             return None
         if not self.num:
-            return _ZERO
+            return Fraction(0)
         if len(self.num) == 1 and self.num[0].key() == ((), LF_ZERO, ()):
-            return self.num[0].coeff
+            return Fraction(self.num[0].coeff)
         return None
 
     def is_constant(self) -> bool:
@@ -630,17 +645,17 @@ ONE = number(1)
 def coord(i: int) -> Expr:
     if not 0 <= i < NCOORDS:
         raise ValueError(f"coordinate index out of range: {i}")
-    return Expr((Mono(_ONE, ((("u", i), 1),), LF_ZERO, ()),))
+    return Expr((Mono(1, ((("u", i), 1),), LF_ZERO, ()),))
 
 
 def param(name: str) -> Expr:
-    return Expr((Mono(_ONE, ((("p", name), 1),), LF_ZERO, ()),))
+    return Expr((Mono(1, ((("p", name), 1),), LF_ZERO, ()),))
 
 
 def func(name: str, order: int = 0) -> Expr:
     if order < 0:
         raise ValueError("derivative order must be non-negative")
-    return Expr((Mono(_ONE, ((("f", name, order), 1),), LF_ZERO, ()),))
+    return Expr((Mono(1, ((("f", name, order), 1),), LF_ZERO, ()),))
 
 
 def _linear_parts(e: Expr):
@@ -648,7 +663,7 @@ def _linear_parts(e: Expr):
 
     Accepts sums of ``c * u_i`` terms with constant-factor coefficients plus
     purely constant terms.  The constant part is returned as a list of
-    (Fraction multiple, base name or '') pieces suitable for angle addition.
+    (rational multiple, base name or '') pieces suitable for angle addition.
     Raises UnsupportedExpressionError otherwise.
     """
     if e.den != SUM_ONE:
@@ -669,7 +684,7 @@ def _linear_parts(e: Expr):
             i = coords[0][0][1]
             lf[i] = cp_add(lf[i], ((cmono, m.coeff),))
         else:
-            const_acc[cmono] = const_acc.get(cmono, _ZERO) + m.coeff
+            const_acc[cmono] = const_acc.get(cmono, 0) + m.coeff
     pieces = []
     for cmono, r in const_acc.items():
         if not r:
@@ -689,10 +704,10 @@ def exp(e: Expr) -> Expr:
     lf, pieces = _linear_parts(Expr._coerce(e))
     if pieces:
         raise UnsupportedExpressionError("exp argument must have no constant part")
-    return Expr((Mono(_ONE, (), lf, ()),))
+    return Expr((Mono(1, (), lf, ()),))
 
 
-def _tc_factor(fn: str, r: Fraction, base: str) -> Expr:
+def _tc_factor(fn: str, r: Number, base: str) -> Expr:
     """sin/cos of the constant angle r*base, reduced for integer multiples."""
     if r < 0:
         inner = _tc_factor(fn, -r, base)
@@ -702,13 +717,13 @@ def _tc_factor(fn: str, r: Fraction, base: str) -> Expr:
     if base and r.denominator == 1 and r > 1:
         # multiple-angle expansion keeps all integer multiples comparable
         n = int(r)
-        s1 = _tc_factor("sin", _ONE, base)
-        c1 = _tc_factor("cos", _ONE, base)
+        s1 = _tc_factor("sin", 1, base)
+        c1 = _tc_factor("cos", 1, base)
         s_prev, c_prev = s1, c1
         for _ in range(n - 1):
             s_prev, c_prev = s_prev * c1 + c_prev * s1, c_prev * c1 - s_prev * s1
         return s_prev if fn == "sin" else c_prev
-    return Expr((Mono(_ONE, ((("tc", fn, base, r), 1),), LF_ZERO, ()),))
+    return Expr((Mono(1, ((("tc", fn, base, _q(r)), 1),), LF_ZERO, ()),))
 
 
 def _trig(fn: str, e: Expr) -> Expr:
@@ -722,8 +737,8 @@ def _trig(fn: str, e: Expr) -> Expr:
         s_acc, c_acc = s_acc * c_p + c_acc * s_p, c_acc * c_p - s_acc * s_p
     if lf_is_zero(lf):
         return s_acc if fn == "sin" else c_acc
-    sin_l = Expr((Mono(_ONE if sign > 0 else -_ONE, (), LF_ZERO, (("sin", lf, 1),)),))
-    cos_l = Expr((Mono(_ONE, (), LF_ZERO, (("cos", lf, 1),)),))
+    sin_l = Expr((Mono(sign, (), LF_ZERO, (("sin", lf, 1),)),))
+    cos_l = Expr((Mono(1, (), LF_ZERO, (("cos", lf, 1),)),))
     if fn == "sin":
         return s_acc * cos_l + c_acc * sin_l
     return c_acc * cos_l - s_acc * sin_l
@@ -770,7 +785,7 @@ def _mono_diff(m: Mono, i: int):
         if not ci:
             continue
         other = "cos" if fn == "sin" else "sin"
-        sgn = _ONE if fn == "sin" else -_ONE
+        sgn = 1 if fn == "sin" else -1
         for cmono, r in ci:
             d = dict(pows)
             for key, ex in cmono:
@@ -819,10 +834,10 @@ def _clear_negative_powers(num) -> tuple:
         return num
     out = list(num)
     for key, e in need_pows.items():
-        factor = Mono(_ONE, ((key, e),), LF_ZERO, ())
+        factor = Mono(1, ((key, e),), LF_ZERO, ())
         out = [x for m in out for x in _mono_mul(m, factor)]
     for (fn, lf), e in need_trig.items():
-        factor = Mono(_ONE, (), LF_ZERO, ((fn, lf, e),))
+        factor = Mono(1, (), LF_ZERO, ((fn, lf, e),))
         out = [x for m in out for x in _mono_mul(m, factor)]
     return _combine(out)
 
@@ -980,7 +995,7 @@ def linear_terms(
         coeff = Expr((Mono(m.coeff, tuple(const_pows), LF_ZERO, ()),))
         if inv is not None:
             coeff = coeff * inv
-        out.append((unknown, coeff, Expr((Mono(_ONE, tuple(rest_pows), m.expl, m.trig),))))
+        out.append((unknown, coeff, Expr((Mono(1, tuple(rest_pows), m.expl, m.trig),))))
     return out
 
 
@@ -1438,7 +1453,7 @@ def parse(
 # ---------------------------------------------------------------------------
 
 
-def _rat_str(r: Fraction) -> str:
+def _rat_str(r: Number) -> str:
     if r.denominator == 1:
         return str(r.numerator)
     return f"({r.numerator}/{r.denominator})"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symlab import expr as ex
+from symlab._symint import antiderivative, cp_invert, cp_sqrt
 from symlab.expr import (
     Assignment,
     EvaluationError,
@@ -455,3 +456,135 @@ def test_linear_terms_reject_nonlinear_input(text):
     e = parse(text, functions=_LINEAR_FUNCS)
     with pytest.raises(UnsupportedExpressionError):
         ex.linear_terms(e, _LINEAR_FUNCS, _LINEAR_PARAMS)
+
+
+# ---------------------------------------------------------------------------
+# stored coefficients: an int when integral, an exact Fraction otherwise
+# ---------------------------------------------------------------------------
+
+
+def _exact(value, expected):
+    """``value`` equals ``expected`` and has its stored type: a float equal in
+    value, or a Fraction with denominator 1, fails."""
+    assert value == expected
+    assert type(value) is (int if Fraction(expected).denominator == 1 else Fraction)
+
+
+class TestExactDivision:
+    def test_cp_invert_of_an_integer(self):
+        ((mono, c),) = cp_invert(ex.cp_from_rat(3))
+        assert mono == ()
+        _exact(c, Fraction(1, 3))
+
+    def test_cp_invert_of_a_single_term(self):
+        ((mono, c),) = cp_invert(((((("p", "k"), 1),), 3),))
+        assert mono == ((("p", "k"), -1),)
+        _exact(c, Fraction(1, 3))
+
+    def test_cp_invert_of_a_unit_fraction_is_an_int(self):
+        ((_mono, c),) = cp_invert(ex.cp_from_rat(Fraction(1, 3)))
+        _exact(c, 3)
+        ((_mono, c),) = cp_invert(((((("p", "k"), 2),), Fraction(-1, 4)),))
+        _exact(c, -4)
+
+    def test_number_quotient(self):
+        q = ex.number(1) / ex.number(3)
+        _exact(q.num[0].coeff, Fraction(1, 3))
+        assert q.as_rational() == Fraction(1, 3)
+
+    def test_parsed_quotient(self):
+        (m,) = parse("u1/3").num
+        _exact(m.coeff, Fraction(1, 3))
+
+    def test_single_monomial_denominator(self):
+        e = ex.ONE / (3 * ex.coord(1))
+        assert e.den == ex.SUM_ONE
+        (m,) = e.num
+        assert m.pows == ((("u", 1), -1),)
+        _exact(m.coeff, Fraction(1, 3))
+
+    def test_sum_denominator_is_made_monic(self):
+        e = ex.ONE / (3 * ex.coord(1) + 3 * ex.coord(2))
+        assert e.den == (ex.coord(1) + ex.coord(2)).num
+        (m,) = e.num
+        _exact(m.coeff, Fraction(1, 3))
+
+    def test_power_rule_and_square_root(self):
+        (m,) = antiderivative(parse("u1^2"), 1).num
+        _exact(m.coeff, Fraction(1, 3))
+        ((_mono, c),) = cp_sqrt(ex.cp_from_rat(Fraction(4, 9)))
+        _exact(c, Fraction(2, 3))
+
+    def test_public_rationals_stay_fractions(self):
+        for value in (ex.number(3).as_rational(), ex.ZERO.as_rational(),
+                      ex.cp_rational(ex.cp_from_rat(3)), ex.cp_rational(ex.CP_ZERO)):
+            assert type(value) is Fraction
+
+
+def _stored_rationals(e):
+    """Every rational held by the canonical form of ``e``: monomial
+    coefficients, the cpoly coefficients of exp and trig linear forms, and
+    the multiples of constant-angle factors."""
+    def angles(pows):
+        return [key[3] for key, _n in pows if key[0] == "tc"]
+
+    def linear(lf):
+        return [x for cp in lf for cmono, c in cp for x in [c] + angles(cmono)]
+
+    out = []
+    for m in e.num + e.den:
+        out += [m.coeff] + angles(m.pows) + linear(m.expl)
+        for _fn, lf, _n in m.trig:
+            out += linear(lf)
+    return out
+
+
+def _assert_normalized(e):
+    for r in _stored_rationals(e):
+        assert type(r) is int or (type(r) is Fraction and r.denominator > 1), (repr(r), str(e))
+
+
+_scales = st.sampled_from([Fraction(1, 2), Fraction(-3, 4), Fraction(4, 3), Fraction(2)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=class_exprs(), b=linear_combinations(), r=_scales, i=st.integers(min_value=0, max_value=3))
+def test_stored_coefficients_are_normalized(a, b, r, i):
+    # every result goes through Fraction arithmetic that can land on an integer
+    angle = ex.number(r) * ex.param("alpha") + ex.number(r) * ex.coord(i) + ex.number(1 - r)
+    results = [
+        a * r * (1 / r),
+        a * r + a * (1 - r),
+        (a * r) ** 2 - a * a * r * r,
+        b / r,
+        ex.differentiate(a * b * r, i),
+        ex.substitute(b, params={"k": r, "ta": 1 / r}, coords={i: r * ex.coord(3)}),
+        ex.sin(angle) * ex.cos(angle) * r,
+        ex.exp(ex.coord(i) * r) * ex.exp(ex.coord(i) / r),
+    ]
+    if a:
+        results.append(b / a)
+    for e in results:
+        _assert_normalized(e)
+    for _u, coeff, rest in ex.linear_terms(b, _LINEAR_FUNCS, _LINEAR_PARAMS, split_constants=True):
+        _assert_normalized(coeff)
+        _assert_normalized(rest)
+
+
+def test_catalog_coefficients_are_normalized(models, corpus):
+    from symlab import solver
+
+    for e in corpus:
+        _assert_normalized(e)
+    for m in models.values():
+        for a in range(3):
+            for b in range(3):
+                for g in range(3):
+                    _assert_normalized(m.constants[a, b, g])
+        for integral in m.integrals:
+            _assert_normalized(integral.gamma)
+            for c in integral.xi.components:
+                _assert_normalized(c)
+    for tag in ("I", "II", "III", "IV", "V", "VI", "VII"):
+        for e in solver.solve_solvable(tag).components.values():
+            _assert_normalized(e)
