@@ -305,7 +305,8 @@ LF_ZERO = (CP_ZERO,) * NCOORDS
 
 
 def lf_add(a, b):
-    # the operands are canonical, so adding the zero form returns the other
+    # the operands are canonical, so adding the zero form returns the other;
+    # in _mono_mul almost every operand is zero (no exp factor)
     if b == LF_ZERO:
         return a
     if a == LF_ZERO:
