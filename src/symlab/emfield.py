@@ -3,8 +3,10 @@ integrals intact.
 
 Every condition is implemented as a computable residual: identically-zero
 residuals certify that the field admits the symmetry operators.  Symbolic
-residuals use the exact engine; the two second-order scalar conditions that
-involve the inverse metric are checked numerically at sample points.
+residuals use the exact engine.  The two second-order scalar conditions,
+which involve the inverse metric, are checked numerically at sample points;
+their derivatives along a generator are exact (the chain rule applied to
+compiled first and second derivatives of g and A), not finite differences.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ class Potential:
 
     def __iter__(self):
         return iter(self.components)
-
-    def in_working_gauge(self) -> bool:
-        return not self.components[0]
 
     def shifted_by_gradient(self, f: Expr) -> "Potential":
         return Potential(tuple(self.components[i] + differentiate(f, i) for i in range(4)))
@@ -192,42 +191,49 @@ def algebraic_constraint_residual(
 # numeric second-order conditions
 # ---------------------------------------------------------------------------
 
-_FD_H = 1e-5
-_STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h)
+_UPPER = tuple((i, j) for i in range(4) for j in range(i, 4))
+_FULL = [[_UPPER.index((min(i, j), max(i, j))) for j in range(4)] for i in range(4)]
+# the compiled values start with 17 symmetric matrices of 10 upper entries
+# each (g, d_l g, d_k d_l g); this indexes them as 17 full 4x4 matrices
+_SYM_INDEX = 10 * np.arange(17)[:, None, None] + np.array(_FULL)
 
 
 class KgfChecker:
     """Numeric residuals of the two scalar consequences of admissibility.
 
-    Checks xi^i d_i(A_l A^l) and xi^k d_k(d_l A^l + A^l chi_,l) at points,
-    raising indices with the numeric inverse metric and taking the outer
-    directional derivative by fourth-order central differences (h = 1e-5).
-    Compiles every needed component once so sweeps over many points are cheap.
+    Checks xi^k d_k(A_l A^l) and xi^k d_k(d_l A^l + A^l chi_,l) at points,
+    with chi = (1/2) ln|det g|.  The outer derivative is exact: g, A and
+    their first and second derivatives are differentiated symbolically and
+    compiled once, and the chain rule is applied numerically at the point
+    (forward-mode differentiation by hand).  With G = g^-1 and v = G A:
+
+        d_k f1 = 2 d_kA . v - v . d_kg . v
+        d_l v = G (d_lA - d_lg v)
+        d_k d_l v = G (d_kd_lA - d_kd_lg v - d_lg d_kv - d_kg d_lv)
+        chi_,l = 1/2 tr(G d_lg)            (Jacobi's formula)
+        d_k chi_,l = 1/2 tr(G d_kd_lg - G d_kg G d_lg)
+
+    Generators have no u0 component, so only k = 1..3 is compiled.
     """
 
     def __init__(self, metric: Metric, A: Potential):
         self.metric = metric
         self.A = A
-        g = [metric[i, j] for i in range(4) for j in range(4)]
-        dg = [
-            differentiate(metric[i, j], l)
-            for l in range(4)
-            for i in range(4)
-            for j in range(4)
-        ]
+        g = [metric[i, j] for i, j in _UPPER]
+        dg = [[differentiate(e, l) for e in g] for l in range(4)]
+        ddg = [[differentiate(e, k) for e in dg[l]] for k in range(1, 4) for l in range(4)]
         a = list(A.components)
-        da = [differentiate(A[m], l) for l in range(4) for m in range(4)]
-        det = metric.determinant()
-        ddet = list(metric.determinant_gradient())
-        self._exprs = g + dg + a + da + [det] + ddet
+        da = [[differentiate(e, l) for e in a] for l in range(4)]
+        dda = [[differentiate(e, k) for e in da[l]] for k in range(1, 4) for l in range(4)]
+        exprs = g + [e for row in dg + ddg for e in row] + a + [e for row in da + dda for e in row]
         params, funcs = set(), set()
-        for e in self._exprs:
+        for e in exprs:
             sym = free_symbols(e)
             params |= sym["params"]
             funcs |= sym["funcs"]
         self.symbols = tuple(sorted(params)) + tuple(sorted(funcs))
-        self._fn = ex.compile_numeric(self._exprs, {}, self.symbols)
-        self._last = (None, {})
+        self._fn = ex.compile_numeric(exprs, {}, self.symbols)
+        self._last = (None, None)
 
     def required_symbols(self):
         return self.symbols
@@ -246,49 +252,44 @@ class KgfChecker:
                 vals.append(point.funcs[key])
         return vals
 
-    def _scalars(self, coords, vals):
-        """(f1, f2, scale1, scale2): the two scalars and the magnitudes of
-        the terms they are assembled from (cancellation scales)."""
-        out = self._fn(*coords, *vals)
-        g = np.array(out[0:16]).reshape(4, 4)
-        dg = np.array(out[16:80]).reshape(4, 4, 4)
-        a = np.array(out[80:84])
-        da = np.array(out[84:100]).reshape(4, 4)
-        det = out[100]
-        ddet = np.array(out[101:105])
-        if abs(det) < 1e-12:
-            raise ex.EvaluationError("metric singular at a stencil point")
+    def _derivatives(self, coords, vals):
+        """(d1, d2, s1, s2): d_k f1 and d_k f2 for k = 1..3, and the
+        magnitudes of the terms f1 and f2 are assembled from (cancellation
+        scales)."""
+        out = np.array(self._fn(*coords, *vals))
+        mats = out[_SYM_INDEX]
+        vecs = out[170:].reshape(17, 4)  # A, d_l A, d_k d_l A
+        g, dg, ddg = mats[0], mats[1:5], mats[5:].reshape(3, 4, 4, 4)
+        a, da, dda = vecs[0], vecs[1:5], vecs[5:].reshape(3, 4, 4)
+        if abs(np.linalg.det(g)) < 1e-12:
+            raise ex.EvaluationError("metric singular at a sample point")
         ginv = np.linalg.inv(g)
+        v = ginv @ a
+        gdg = ginv @ dg  # G d_l g
+        chi = 0.5 * np.trace(gdg, axis1=1, axis2=2)
+        dv = (da - dg @ v) @ ginv  # row l: d_l v (G is symmetric)
+        d1 = 2.0 * da[1:] @ v - (dg[1:] @ v) @ v
+        ddv = (
+            dda
+            - ddg @ v
+            - np.einsum("lmn,kn->klm", dg, dv[1:])
+            - np.einsum("kmn,ln->klm", dg[1:], dv)
+        )
+        dchi = 0.5 * (
+            np.einsum("ij,klji->kl", ginv, ddg)
+            - np.einsum("kij,lji->kl", gdg[1:], gdg)
+        )
+        d2 = np.einsum("lm,klm->k", ginv, ddv) + dv[1:] @ chi + dchi @ v
         aginv = np.abs(ginv)
         aa = np.abs(a)
-        chi = 0.5 * ddet / det
-        f1 = a @ ginv @ a
+        dginv_diag = np.einsum("llm->lm", gdg @ ginv)  # row l of G d_lg G
         s1 = aa @ aginv @ aa
-        div = 0.0
-        sdiv = 0.0
-        for l in range(4):
-            dginv_l = -ginv @ dg[l] @ ginv
-            div += dginv_l[l] @ a + ginv[l] @ da[l]
-            sdiv += np.abs(dginv_l[l]) @ aa + aginv[l] @ np.abs(da[l])
-        f2 = div + (ginv @ a) @ chi
-        s2 = sdiv + (aginv @ aa) @ np.abs(chi)
-        return f1, f2, s1, s2
-
-    def _stencil(self, coords, vals, i):
-        """(d1, d2, m1, m2) along axis i: the 4-point stencil sums of the two
-        scalars (before the 1/(12 h) factor) and their largest cancellation
-        scales.  The same for every generator; only the weight xi^i differs."""
-        d1 = d2 = 0.0
-        m1 = m2 = 0.0
-        for off, w in _STENCIL:
-            shifted = list(coords)
-            shifted[i] += off * _FD_H
-            f1, f2, fs1, fs2 = self._scalars(shifted, vals)
-            d1 += w * f1
-            d2 += w * f2
-            m1 = max(m1, fs1)
-            m2 = max(m2, fs2)
-        return d1, d2, m1, m2
+        s2 = (
+            np.sum(np.abs(dginv_diag) @ aa)
+            + np.sum(aginv * np.abs(da))
+            + (aginv @ aa) @ np.abs(chi)
+        )
+        return d1.tolist(), d2.tolist(), float(s1), float(s2)
 
     def residuals(self, X: VectorField, point: Assignment) -> Tuple[float, float]:
         """The two directional residuals for generator X at the point.
@@ -297,9 +298,9 @@ class KgfChecker:
         differentiated (plus one), making it a dimensionless zero-test that
         stays meaningful when the inverse metric is large at the point.
 
-        The stencils of the last point are kept, keyed by the point's values
-        (an ``Assignment`` is mutable), so the generators of one point share
-        them; an axis is filled when first needed.
+        The derivatives of the last point are kept, keyed by the point's
+        values (an ``Assignment`` is mutable), so the generators of one point
+        share one evaluation.
         """
         vals = self._values(point)
         xi0 = evaluate(X[0], point)
@@ -307,23 +308,21 @@ class KgfChecker:
             raise ValueError("generator must have zero u0 component")
         xi = [evaluate(X[i], point) for i in range(4)]
         key = (point.coords, tuple(vals))
-        last_key, stencils = self._last
-        if last_key != key:
-            stencils = {}
-            self._last = (key, stencils)
-        r1 = r2 = 0.0
-        s1 = s2 = 1.0
+        last_key, derivs = self._last
         # overflow at a point gives non-finite residuals, which the caller
         # counts; numpy need not warn about them as well
         with np.errstate(all="ignore"):
+            if last_key != key:
+                derivs = self._derivatives(point.coords, vals)
+                self._last = (key, derivs)
+            d1, d2, m1, m2 = derivs
+            r1 = r2 = 0.0
+            s1 = s2 = 1.0
             for i in range(1, 4):
                 if abs(xi[i]) < 1e-15:
                     continue
-                if i not in stencils:
-                    stencils[i] = self._stencil(point.coords, vals, i)
-                d1, d2, m1, m2 = stencils[i]
-                r1 += xi[i] * d1 / (12.0 * _FD_H)
-                r2 += xi[i] * d2 / (12.0 * _FD_H)
+                r1 += xi[i] * d1[i - 1]
+                r2 += xi[i] * d2[i - 1]
                 s1 += abs(xi[i]) * m1
                 s2 += abs(xi[i]) * m2
             return r1 / s1, r2 / s2

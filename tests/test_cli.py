@@ -17,6 +17,7 @@ from symlab.cli import (
     load_manifest,
     run_verification,
 )
+from symlab.emfield import Potential
 
 
 class TestRunVerification:
@@ -477,6 +478,32 @@ class TestSecondOrderCheck:
     def test_run_verification_rejects_vacuous_samples(self, models, samples):
         with pytest.raises(ValueError):
             run_verification(models["I"], samples=samples)
+
+
+class TestSecondOrderAccuracyAndPower:
+    """The exact derivative leaves only rounding error on the catalog, and
+    the check still rejects each non-admissible A2 of the mutation table."""
+
+    def test_catalog_reports_at_rounding_level(self, models):
+        # the nine reports of `verify --group all` at seed 0
+        worst = 0.0
+        for i, tag in enumerate(catalog.TAGS):
+            rep = run_verification(models[tag], samples=100, seed=i)
+            (check,) = [c for c in rep.checks if c.name == "second-order scalar conditions"]
+            assert check.verdict == "pass", tag
+            worst = max(worst, float(check.residual))
+        assert worst < 1e-11
+
+    @pytest.mark.parametrize("extra", ["u1^2", "u1", "sin(u2)"])
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_mutation_table_fails(self, models, tag, extra):
+        m = models[tag]
+        A = m.potential
+        A = Potential.make(0, A[1], A[2] + ex.parse(extra), A[3])
+        mutated = catalog.build_model(tag, m.params, m.frame, m.coframe, m.metric, A, m.errata)
+        rep = run_verification(mutated, samples=2, seed=0)
+        (check,) = [c for c in rep.checks if c.name == "second-order scalar conditions"]
+        assert check.verdict == "fail", (tag, extra, check.residual)
 
 
 def _mutated(data: bytes, edits) -> bytes:

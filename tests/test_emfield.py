@@ -2,6 +2,9 @@
 
 import random
 
+import numpy as np
+import pytest
+
 from symlab import catalog, expr as ex
 from symlab.emfield import (
     FieldTensor,
@@ -258,3 +261,123 @@ class TestStencilReuse:
         after = checker.residuals(X, shifted)
         assert after != before
         assert after == kgf_extra_residual_at(m.metric, pert, X, shifted)
+
+
+# The finite-difference derivative the exact one replaced, kept as its
+# reference: the two scalars at four points along each axis, combined by the
+# fourth-order central stencil.  It takes the cancellation scales at the
+# sample point, as `KgfChecker` does; the stencil itself took their largest
+# value over the four shifted points, which moves the normalized residual by
+# a relative 1e-5 or so.
+_FD_H = 1e-5
+_STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h)
+
+
+class _StencilReference:
+    def __init__(self, metric, A):
+        g = [metric[i, j] for i in range(4) for j in range(4)]
+        dg = [ex.differentiate(metric[i, j], l) for l in range(4) for i in range(4) for j in range(4)]
+        a = list(A.components)
+        da = [ex.differentiate(A[m], l) for l in range(4) for m in range(4)]
+        exprs = g + dg + a + da + [metric.determinant()] + list(metric.determinant_gradient())
+        params, funcs = set(), set()
+        for e in exprs:
+            sym = ex.free_symbols(e)
+            params |= sym["params"]
+            funcs |= sym["funcs"]
+        self.symbols = tuple(sorted(params)) + tuple(sorted(funcs))
+        self._fn = ex.compile_numeric(exprs, {}, self.symbols)
+
+    def _scalars(self, coords, vals):
+        out = self._fn(*coords, *vals)
+        g = np.array(out[0:16]).reshape(4, 4)
+        dg = np.array(out[16:80]).reshape(4, 4, 4)
+        a = np.array(out[80:84])
+        da = np.array(out[84:100]).reshape(4, 4)
+        det = out[100]
+        ddet = np.array(out[101:105])
+        ginv = np.linalg.inv(g)
+        aginv = np.abs(ginv)
+        aa = np.abs(a)
+        chi = 0.5 * ddet / det
+        f1 = a @ ginv @ a
+        s1 = aa @ aginv @ aa
+        div = 0.0
+        sdiv = 0.0
+        for l in range(4):
+            dginv_l = -ginv @ dg[l] @ ginv
+            div += dginv_l[l] @ a + ginv[l] @ da[l]
+            sdiv += np.abs(dginv_l[l]) @ aa + aginv[l] @ np.abs(da[l])
+        f2 = div + (ginv @ a) @ chi
+        s2 = sdiv + (aginv @ aa) @ np.abs(chi)
+        return f1, f2, s1, s2
+
+    def residuals(self, X, point):
+        vals = [
+            point.params[s] if isinstance(s, str) else point.funcs[(s.name, s.order)]
+            for s in self.symbols
+        ]
+        xi = [ex.evaluate(X[i], point) for i in range(4)]
+        _f1, _f2, m1, m2 = self._scalars(point.coords, vals)
+        r1 = r2 = 0.0
+        s1 = s2 = 1.0
+        for i in range(1, 4):
+            if abs(xi[i]) < 1e-15:
+                continue
+            d1 = d2 = 0.0
+            for off, w in _STENCIL:
+                shifted = list(point.coords)
+                shifted[i] += off * _FD_H
+                f1, f2, _s1, _s2 = self._scalars(shifted, vals)
+                d1 += w * f1
+                d2 += w * f2
+            r1 += xi[i] * d1 / (12.0 * _FD_H)
+            r2 += xi[i] * d2 / (12.0 * _FD_H)
+            s1 += abs(xi[i]) * m1
+            s2 += abs(xi[i]) * m2
+        return r1 / s1, r2 / s2
+
+
+class TestExactDerivative:
+    """The chain-rule derivative against the finite-difference stencil it
+    replaced, on potentials whose second-order residuals are not zero."""
+
+    @staticmethod
+    def non_admissible(m):
+        A = m.potential
+        return Potential.make(0, A[1], A[2] + parse("u1*u2"), A[3])
+
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_matches_stencil_reference(self, models, tag):
+        m = models[tag]
+        A = self.non_admissible(m)
+        checker = KgfChecker(m.metric, A)
+        reference = _StencilReference(m.metric, A)
+        rng = random.Random(1601)
+        largest = 0.0
+        for _ in range(5):
+            point = catalog.random_model_assignment(m, rng, symbols=checker.required_symbols())
+            for X in m.frame:
+                got = checker.residuals(X, point)
+                want = reference.residuals(X, point)
+                for r, ref in zip(got, want):
+                    assert abs(r - ref) <= 1e-6 * abs(ref) + 1e-9, (tag, got, want)
+                    largest = max(largest, abs(ref))
+        assert largest > 0.1, tag
+
+    def test_required_symbols_are_those_of_the_stencil(self, models):
+        # the same symbols, so run_verification draws the same sample points
+        for m in models.values():
+            for A in (m.potential, self.non_admissible(m)):
+                got = KgfChecker(m.metric, A).required_symbols()
+                assert got == _StencilReference(m.metric, A).symbols, m.type_tag
+
+    def test_catalog_residuals_at_rounding_level(self, models):
+        rng = random.Random(1602)
+        for m in models.values():
+            checker = KgfChecker(m.metric, m.potential)
+            for _ in range(20):
+                point = catalog.random_model_assignment(m, rng, symbols=checker.required_symbols())
+                for X in m.frame:
+                    r1, r2 = checker.residuals(X, point)
+                    assert abs(r1) < 1e-11 and abs(r2) < 1e-11, m.type_tag
