@@ -232,7 +232,10 @@ class KgfChecker:
             params |= sym["params"]
             funcs |= sym["funcs"]
         self.symbols = tuple(sorted(params)) + tuple(sorted(funcs))
-        self._fn = ex.compile_numeric(exprs, {}, self.symbols)
+        # most second derivatives vanish; only the others are compiled
+        self._size = len(exprs)
+        self._nonzero = [i for i, e in enumerate(exprs) if e]
+        self._fn = ex.compile_numeric([exprs[i] for i in self._nonzero], {}, self.symbols)
         self._last = (None, None)
 
     def required_symbols(self):
@@ -256,7 +259,8 @@ class KgfChecker:
         """(d1, d2, s1, s2): d_k f1 and d_k f2 for k = 1..3, and the
         magnitudes of the terms f1 and f2 are assembled from (cancellation
         scales)."""
-        out = np.array(self._fn(*coords, *vals))
+        out = np.zeros(self._size)
+        out[self._nonzero] = self._fn(*coords, *vals)
         mats = out[_SYM_INDEX]
         vecs = out[170:].reshape(17, 4)  # A, d_l A, d_k d_l A
         g, dg, ddg = mats[0], mats[1:5], mats[5:].reshape(3, 4, 4, 4)

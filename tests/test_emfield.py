@@ -371,13 +371,3 @@ class TestExactDerivative:
             for A in (m.potential, self.non_admissible(m)):
                 got = KgfChecker(m.metric, A).required_symbols()
                 assert got == _StencilReference(m.metric, A).symbols, m.type_tag
-
-    def test_catalog_residuals_at_rounding_level(self, models):
-        rng = random.Random(1602)
-        for m in models.values():
-            checker = KgfChecker(m.metric, m.potential)
-            for _ in range(20):
-                point = catalog.random_model_assignment(m, rng, symbols=checker.required_symbols())
-                for X in m.frame:
-                    r1, r2 = checker.residuals(X, point)
-                    assert abs(r1) < 1e-11 and abs(r2) < 1e-11, m.type_tag
