@@ -498,8 +498,7 @@ class TestSecondOrderAccuracyAndPower:
     @pytest.mark.parametrize("tag", catalog.TAGS)
     def test_mutation_table_fails(self, models, tag, extra):
         m = models[tag]
-        A = m.potential
-        A = Potential.make(0, A[1], A[2] + ex.parse(extra), A[3])
+        A = Potential.make(0, m.potential[1], m.potential[2] + ex.parse(extra), m.potential[3])
         mutated = catalog.build_model(tag, m.params, m.frame, m.coframe, m.metric, A, m.errata)
         rep = run_verification(mutated, samples=2, seed=0)
         (check,) = [c for c in rep.checks if c.name == "second-order scalar conditions"]

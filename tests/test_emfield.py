@@ -267,8 +267,8 @@ class TestStencilReuse:
 # reference: the two scalars at four points along each axis, combined by the
 # fourth-order central stencil.  It takes the cancellation scales at the
 # sample point, as `KgfChecker` does; the stencil itself took their largest
-# value over the four shifted points, which moves the normalized residual by
-# a relative 1e-5 or so.
+# value over the four shifted points, which moved the normalized residuals
+# of the test below by a relative 2e-5 to 5e-5.
 _FD_H = 1e-5
 _STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h)
 
