@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
 from . import expr as ex
-from .expr import Expr, FuncSymbol, free_symbols, is_zero, differentiate, parse
+from .expr import Expr, FuncSymbol, InputError, free_symbols, is_zero, differentiate, parse
 from .geometry import (
     Coframe,
     Metric,
@@ -128,7 +128,7 @@ def _solvable_params(tag: str, q: Fraction):
         return Fraction(k), Fraction(n), Fraction(eps)
     if tag == "VI":
         return Fraction(1), Fraction(q), Fraction(0)
-    raise ValueError(tag)
+    raise InputError(tag)
 
 
 def _frame_for(tag: str, q: Fraction):
@@ -160,7 +160,7 @@ def _frame_for(tag: str, q: Fraction):
                 "cos(u2)/sin(u1)",
             ),
         )
-    raise ValueError(f"unknown type tag {tag!r}")
+    raise InputError(f"unknown type tag {tag!r}")
 
 
 def _potential_for(tag: str, q: Fraction) -> Potential:
@@ -200,7 +200,7 @@ def _potential_for(tag: str, q: Fraction) -> Potential:
         # F_{02,3} = F_01 sin u1; see the type-IX errata note
         s1, s3, c3 = ex.sin(u1), ex.sin(u3), ex.cos(u3)
         return Potential.make(0, a0 * c3 - b0 * s3, (a0 * s3 + b0 * c3) * s1, 0)
-    raise ValueError(f"unknown type tag {tag!r}")
+    raise InputError(f"unknown type tag {tag!r}")
 
 
 def _params_for(tag: str, q: Fraction) -> Dict[str, object]:
@@ -507,12 +507,12 @@ def get_model(type_tag: str, q=None) -> BianchiModel:
     """
     tag = str(type_tag).strip().upper()
     if tag not in TAGS:
-        raise ValueError(f"unknown type tag {type_tag!r}; expected one of {TAGS}")
+        raise InputError(f"unknown type tag {type_tag!r}; expected one of {TAGS}")
     if q is not None and tag != "VI":
-        raise ValueError("parameter q only applies to type VI")
+        raise InputError("parameter q only applies to type VI")
     qv = Fraction(q) if q is not None else Fraction(2)
     if tag == "VI" and qv in (0, 1):
-        raise ValueError("type VI requires q outside {0, 1}")
+        raise InputError("type VI requires q outside {0, 1}")
     key = (tag, qv if tag == "VI" else Fraction(0))
     if key in _CACHE:
         return _CACHE[key]

@@ -68,7 +68,7 @@ class ManifestError(Exception):
 
 # input errors: main prints each as one line and exits 2; any other
 # exception is an engine defect and keeps its traceback
-_USER_ERRORS = (ManifestError, ex.ParseError, OSError, ValueError,
+_USER_ERRORS = (ManifestError, ex.ParseError, OSError, ex.InputError,
                 solver.UnsupportedGroupError, dynamics.IntegrationError)
 
 
@@ -137,7 +137,7 @@ def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> 
     """Run every residual check on a model; failures become report entries."""
     if samples < 1:
         # the sampled checks would pass with no point evaluated
-        raise ValueError(f"samples must be at least 1, got {samples}")
+        raise ex.InputError(f"samples must be at least 1, got {samples}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     report = Report(
@@ -448,7 +448,7 @@ def _emit_many(reports: Sequence[Report], fmt: str) -> str:
 
 def _cmd_verify(args) -> int:
     if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        raise ex.InputError(f"--samples must be at least 1, got {args.samples}")
     if args.manifest:
         model, _bindings = load_manifest(args.manifest)
         models = [model]

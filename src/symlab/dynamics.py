@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .expr import Expr, differentiate, free_symbols, parse, substitute
+from .expr import Expr, InputError, differentiate, free_symbols, parse, substitute
 from .catalog import BianchiModel
 
 __all__ = [
@@ -431,10 +431,10 @@ def integrate(
     bit-identical to the numpy stage loop it replaced.
     """
     if tol <= 0:
-        raise ValueError("tolerance must be positive")
+        raise InputError("tolerance must be positive")
     t0, t1 = float(tau_span[0]), float(tau_span[1])
     if t0 == t1:
-        raise ValueError("empty integration span")
+        raise InputError("empty integration span")
     direction = 1.0 if t1 > t0 else -1.0
     traj = Trajectory(taus=[t0], states=[state0.as_vector()], tolerance=tol, rhs_evals=1)
     y = traj.states[0].tolist()

@@ -309,7 +309,7 @@ class KgfChecker:
         vals = self._values(point)
         xi0 = evaluate(X[0], point)
         if abs(xi0) > 1e-13:
-            raise ValueError("generator must have zero u0 component")
+            raise ex.InputError("generator must have zero u0 component")
         xi = [evaluate(X[i], point) for i in range(4)]
         key = (point.coords, tuple(vals))
         last_key, derivs = self._last

@@ -39,6 +39,7 @@ __all__ = [
     "UnsupportedExpressionError",
     "EvaluationError",
     "InternalInconsistencyError",
+    "InputError",
     "parse",
     "differentiate",
     "canonicalize",
@@ -73,6 +74,12 @@ def _q(c):
     if type(c) is int:
         return c
     return c.numerator if c.denominator == 1 else c
+
+
+class InputError(ValueError):
+    """A value given by the user is out of its domain: an unknown type tag,
+    a bad option or a bad integration request.  The command line reports
+    it as an input error; a plain ``ValueError`` stays a defect."""
 
 
 class ExprError(Exception):
@@ -406,27 +413,29 @@ def _expand_trig(coeff, powdict, expl, trigdict):
     (fa, la), (fb, lb) = ka, kb
     plus = lf_add(la, lb)
     minus = lf_add(la, lf_neg(lb))
+    # an even int halves to an int; Fraction arithmetic costs far more
+    half = coeff // 2 if type(coeff) is int and not coeff % 2 else coeff * _HALF
     out = []
     if fa == "sin" and fb == "sin":
-        combos = [(_HALF, "cos", minus), (-_HALF, "cos", plus)]
+        combos = [(half, "cos", minus), (-half, "cos", plus)]
     elif fa == "cos" and fb == "cos":
-        combos = [(_HALF, "cos", minus), (_HALF, "cos", plus)]
+        combos = [(half, "cos", minus), (half, "cos", plus)]
     elif fa == "sin":
-        combos = [(_HALF, "sin", plus), (_HALF, "sin", minus)]
+        combos = [(half, "sin", plus), (half, "sin", minus)]
     else:  # cos * sin
-        combos = [(_HALF, "sin", plus), (-_HALF, "sin", minus)]
+        combos = [(half, "sin", plus), (-half, "sin", minus)]
     for c, fn, lf in combos:
         s, lf = _lf_norm_sign(lf)
         if lf_is_zero(lf):
             if fn == "sin":
                 continue
-            out.extend(_expand_trig(coeff * c, powdict, expl, dict(base)))
+            out.extend(_expand_trig(c, powdict, expl, dict(base)))
             continue
         if s < 0 and fn == "sin":
             c = -c
         d = dict(base)
         d[(fn, lf)] = d.get((fn, lf), 0) + 1
-        out.extend(_expand_trig(coeff * c, powdict, expl, d))
+        out.extend(_expand_trig(c, powdict, expl, d))
     return out
 
 
@@ -461,7 +470,30 @@ def _mono_inv(m: Mono) -> Mono:
     return Mono(_ONE / m.coeff, pows, lf_neg(m.expl), trig)
 
 
+def _sum_scale(xs, c):
+    """The canonical sum ``xs`` times the non-zero rational ``c``.  Only the
+    coefficients change, and the sort key holds none, so the order stands."""
+    if c == 1:
+        return xs
+    return tuple(Mono(_q(m.coeff * c), m.pows, m.expl, m.trig) for m in xs)
+
+
+def _scalar(xs):
+    """The coefficient of a one-monomial sum with no other factor, else None."""
+    if len(xs) == 1:
+        m = xs[0]
+        if not m.pows and not m.trig and m.expl == LF_ZERO:
+            return m.coeff
+    return None
+
+
 def _sum_mul(xs, ys):
+    c = _scalar(xs)
+    if c is not None:
+        return _sum_scale(ys, c)
+    c = _scalar(ys)
+    if c is not None:
+        return _sum_scale(xs, c)
     out = []
     for a in xs:
         for b in ys:
@@ -482,6 +514,12 @@ class Expr:
 
     All arithmetic keeps the canonical form, so ``canonicalize`` is the
     identity on ``Expr`` values and structural equality is meaningful.
+
+    Every stored monomial is canonical, with its coefficient in stored form
+    (see ``_q``), and every stored sum is combined and sorted.  Arithmetic
+    relies on this: a numerator over the denominator 1 is kept as it is, and
+    a product by a non-zero rational scalar only rescales the coefficients,
+    because the sort key holds no coefficient and so the order stands.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -502,15 +540,17 @@ class Expr:
             raise ZeroDivisionError("denominator is identically zero")
         if not num:
             return Expr((), SUM_ONE)
+        if den == SUM_ONE:
+            return Expr(num, SUM_ONE)
         if len(den) == 1:
             inv = _mono_inv(den[0])
             num = _combine(m2 for m in num for m2 in _mono_mul(m, inv))
             return Expr(num, SUM_ONE)
         lead = den[0].coeff
         if lead != 1:
-            scale = Mono(_ONE / lead, (), LF_ZERO, ())
-            num = _combine(m2 for m in num for m2 in _mono_mul(m, scale))
-            den = _combine(m2 for m in den for m2 in _mono_mul(m, scale))
+            scale = _ONE / lead
+            num = _sum_scale(num, scale)
+            den = _sum_scale(den, scale)
         return Expr(num, den)
 
     @staticmethod
@@ -1040,6 +1080,9 @@ def is_zero(e: Expr, rng=None, samples: int = 8) -> bool:
     InternalInconsistencyError: it would mean the canonical form is broken.
     """
     e = Expr._coerce(e)
+    if not e.num:
+        # the value is 0 at every point, so no sample can disagree
+        return True
     cleared = _clear_negative_powers(e.num)
     verdict = not cleared
     if rng is None:

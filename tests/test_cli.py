@@ -17,7 +17,7 @@ from symlab.cli import (
     load_manifest,
     run_verification,
 )
-from symlab.emfield import Potential
+from symlab.emfield import KgfChecker, Potential
 
 
 class TestRunVerification:
@@ -392,6 +392,25 @@ class TestInputErrors:
         monkeypatch.setattr(cli, "get_model", broken)
         with pytest.raises(ex.InternalInconsistencyError):
             cli.main(["export", "--group", "I"])
+
+    def test_value_error_from_the_engine_is_a_defect(self, monkeypatch):
+        # only InputError means bad input; any other ValueError keeps its traceback
+        def broken(*_args, **_kwargs):
+            raise ValueError("cannot reshape array")
+
+        monkeypatch.setattr(KgfChecker, "residuals", broken)
+        with pytest.raises(ValueError, match="cannot reshape array"):
+            cli.main(["verify", "--group", "I", "--samples", "1"])
+
+    def test_input_checks_raise_input_error(self, models):
+        for call in (
+            lambda: catalog.get_model("X"),
+            lambda: catalog.get_model("I", q=2),
+            lambda: catalog.get_model("VI", q=1),
+            lambda: run_verification(models["I"], samples=0),
+        ):
+            with pytest.raises(ex.InputError):
+                call()
 
 
 class TestBuildModel:

@@ -204,6 +204,30 @@ class TestIsZero:
         for e in corpus[::7]:
             assert not is_zero(e)
 
+    def test_empty_form_draws_no_sample(self, monkeypatch):
+        def no_draw(*_args, **_kwargs):
+            raise AssertionError("sampled an empty form")
+
+        x = ex.coord(1)
+        monkeypatch.setattr(ex, "random_assignment", no_draw)
+        assert is_zero(ex.ZERO)
+        assert is_zero(x - x)
+
+    def test_form_that_clears_to_zero_is_still_sampled(self, monkeypatch):
+        # non-empty, but empty once sin(u1) is cleared from the denominator
+        draws = []
+        draw = ex.random_assignment
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "random_assignment", counted)
+        e = parse("sin(2*u1)/sin(u1)") - parse("2*cos(u1)")
+        assert e.num
+        assert is_zero(e)
+        assert len(draws) == 8
+
 
 class TestEvaluate:
     def test_exp_zero(self):
@@ -588,3 +612,91 @@ def test_catalog_coefficients_are_normalized(models, corpus):
     for tag in ("I", "II", "III", "IV", "V", "VI", "VII"):
         for e in solver.solve_solvable(tag).components.values():
             _assert_normalized(e)
+
+
+# ---------------------------------------------------------------------------
+# the fast paths of canonical arithmetic against the general product loop
+# they bypass, kept here as the reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_sum_mul(xs, ys):
+    out = []
+    for a in xs:
+        for b in ys:
+            out.extend(ex._mono_mul(a, b))
+    return ex._combine(out)
+
+
+def _reference_make(num, den):
+    if not den:
+        raise ZeroDivisionError("denominator is identically zero")
+    if not num:
+        return ex.Expr((), ex.SUM_ONE)
+    if len(den) == 1:
+        inv = ex._mono_inv(den[0])
+        return ex.Expr(_reference_sum_mul(num, (inv,)), ex.SUM_ONE)
+    lead = den[0].coeff
+    if lead != 1:
+        scale = (ex.Mono(Fraction(1) / lead, (), ex.LF_ZERO, ()),)
+        num, den = _reference_sum_mul(num, scale), _reference_sum_mul(den, scale)
+    return ex.Expr(num, den)
+
+
+def _stored(monos):
+    """A sum with the type of each coefficient, which ``==`` does not see."""
+    return [(m, type(m.coeff)) for m in monos]
+
+
+def _assert_identity_pass(e):
+    """Multiplying each stored monomial by 1 through the general loop, the
+    pass that ``Expr._make`` no longer makes, leaves the sums as stored."""
+    for part in (e.num, e.den):
+        assert _stored(_reference_sum_mul(part, ex.SUM_ONE)) == _stored(part), str(e)
+
+
+_SCALARS = (1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 3))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(a=class_exprs(depth=3))
+def test_identity_pass_is_the_identity_on_class_members(a):
+    _assert_identity_pass(a)
+
+
+def test_identity_pass_is_the_identity_on_catalog_and_families(corpus):
+    from symlab import solver
+
+    for e in corpus:
+        _assert_identity_pass(e)
+    for tag in ("I", "II", "III", "IV", "V", "VI", "VII"):
+        fam = solver.solve_solvable(tag)
+        for family in (fam, solver.apply_algebraic_constraints(fam)):
+            for e in family.components.values():
+                _assert_identity_pass(e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=class_exprs(), b=linear_combinations(), c=st.sampled_from(_SCALARS))
+def test_scalar_product_matches_general_loop(a, b, c):
+    scalar = ex.number(c).num
+    for xs in (a.num, b.num, b.den):
+        for got in (ex._sum_mul(xs, scalar), ex._sum_mul(scalar, xs)):
+            assert _stored(got) == _stored(_reference_sum_mul(xs, scalar))
+            _assert_normalized(ex.Expr(got))
+    for x, y in ((a, c), (b, c), (c, b), (a * c, Fraction(1) / c), (b, a)):
+        x, y = ex.Expr._coerce(x), ex.Expr._coerce(y)
+        got = x * y
+        want = _reference_make(_reference_sum_mul(x.num, y.num), _reference_sum_mul(x.den, y.den))
+        assert (_stored(got.num), _stored(got.den)) == (_stored(want.num), _stored(want.den))
+        _assert_normalized(got)
+
+
+def test_scalar_product_lands_on_int():
+    half = ex.number(Fraction(1, 2))
+    for e in (half * 2, 2 * half, ex.coord(1) * Fraction(1, 2) * 2, ex.coord(1) / 2 * 2):
+        (m,) = e.num
+        _exact(m.coeff, 1)
+    # a sum denominator is made monic by the scalar path as well
+    (m,) = (ex.ONE / (Fraction(2, 3) * ex.coord(1) + Fraction(2, 3))).num
+    _exact(m.coeff, Fraction(3, 2))
