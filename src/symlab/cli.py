@@ -578,8 +578,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("solve", help="closed-form field family for a solvable type")
-    p.add_argument("--group", required=True, help="I..VII")
+    p = sub.add_parser("solve", help="closed-form field family of a type")
+    p.add_argument("--group", required=True, help="I..IX")
     p.add_argument("--q", type=Fraction, default=None, help="free constant of type VI")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_solve)

@@ -430,9 +430,13 @@ def integrate(
     (see _step_source) that calls the instance's kernel directly; it is
     bit-identical to the numpy stage loop it replaced.
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
+    if max_steps < 1:
+        raise InputError(f"step budget must be at least 1, got {max_steps}")
     t0, t1 = float(tau_span[0]), float(tau_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise InputError(f"integration span must be finite, got ({t0}, {t1})")
     if t0 == t1:
         raise InputError("empty integration span")
     direction = 1.0 if t1 > t0 else -1.0

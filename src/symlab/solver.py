@@ -1,12 +1,12 @@
-"""Closed-form solution of the field-tensor system for the solvable types.
+"""Closed-form solution of the field-tensor system for the nine types.
 
-For the seven solvable types the generator frame contains the Abelian pair
-of coordinate translations, so the invariance conditions plus the exterior
-identities reduce to a first-order linear system in u3 with exact constant
-coefficients.  The general solution is the fundamental matrix applied to
-free functions of u0; the cross identities then tie the time derivatives
-together, and the leftover integration constants are eliminated through the
-algebraic constraints on the reconstructed potential.
+Every model carries an invariant coframe omega^a, and an invariant 2-form
+has constant coefficients in it (Ellis and MacCallum, 1969).  So the closed
+invariant fields are F = d(f_a(u0) omega^a) plus the closed constant
+2-forms that are not exact, the Lie-algebra cohomology H^2 (Chevalley and
+Eilenberg, 1948).  There is no ODE to integrate and no case split by type.
+The constants of the H^2 part are then eliminated through the algebraic
+constraints on the reconstructed potential.
 """
 
 from __future__ import annotations
@@ -16,12 +16,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import expr as ex
-from .expr import Expr, FuncSymbol, differentiate, is_zero
-from ._symint import antiderivative, definite_integral, fundamental_matrix, row_reduce
+from .expr import Expr, differentiate, is_zero
+from ._symint import antiderivative, definite_integral, row_reduce
 from .geometry import (
     StructureConstants,
     VectorField,
-    _is_translation,
+    _det3,
+    _pointwise_rank,
+    _solve3,
     structure_constants_from_frame,
 )
 from .emfield import (
@@ -55,37 +57,22 @@ class SolverError(Exception):
 
 
 class UnsupportedGroupError(SolverError):
-    """The frame lacks the Abelian translation pair the solver relies on."""
+    """A group the solver cannot handle.  Every catalog type is solved, so
+    nothing raises it today; callers may still catch it."""
 
 
 @dataclass(frozen=True)
 class FieldSystem:
-    """The reduced linear system for the six field components.
-
-    ``ode_matrix[m][n]`` gives d(F_m)/du3 = sum_n ode_matrix[m][n] F_n over
-    the component order ``PAIRS``; all u1 and u2 derivatives vanish.  The
-    exterior identities couple the u0 and u3 derivatives across components.
-    """
+    """The equations on the six field components: closure dF = 0 and
+    invariance L_xi F = 0 under every generator of the frame.  Invariance
+    alone fixes every first derivative of F along the group orbits."""
 
     frame: Tuple[VectorField, ...]
     constants: StructureConstants
-    ode_matrix: Tuple[Tuple[Expr, ...], ...]
-    vanishing_directions: Tuple[int, ...]
 
     def residuals(self, F: FieldTensor) -> List[Tuple[str, Expr]]:
         """Every equation applied to a candidate tensor, as named residuals."""
-        out: List[Tuple[str, Expr]] = []
-        for d in self.vanishing_directions:
-            for (i, j) in PAIRS:
-                out.append((f"dF{i}{j}/du{d}", differentiate(F[i, j], d)))
-        for m, (i, j) in enumerate(PAIRS):
-            acc = differentiate(F[i, j], 3)
-            for n, (k, l) in enumerate(PAIRS):
-                if self.ode_matrix[m][n]:
-                    acc = acc - self.ode_matrix[m][n] * F[k, l]
-            out.append((f"dF{i}{j}/du3 system row", acc))
-        for (i, j, k), v in bianchi_residual(F).items():
-            out.append((f"closure {i}{j}{k}", v))
+        out = [(f"closure {i}{j}{k}", v) for (i, j, k), v in bianchi_residual(F).items()]
         for a, X in enumerate(self.frame):
             comp = compatibility_residual(F, X)
             for i in range(4):
@@ -98,85 +85,32 @@ class FieldSystem:
 
 
 def build_field_system(C: StructureConstants, frame: Sequence[VectorField]) -> FieldSystem:
-    """Reduce the invariance conditions to the constant-coefficient system.
-
-    Requires the frame to contain the translations d/du1 and d/du2 and a
-    third generator with constant gradient and constant nonzero u3
-    component; the two non-solvable catalog frames do not have this shape
-    and raise UnsupportedGroupError.
-    """
+    """The closure and invariance equations of a frame with constants C."""
     frame = tuple(frame)
     derived = structure_constants_from_frame(frame)
     if derived != C:
         raise SolverError("structure constants do not match the frame")
-    translations = [_is_translation(f) for f in frame]
-    if 1 not in translations or 2 not in translations:
-        raise UnsupportedGroupError(
-            "frame has no Abelian translation pair (d/du1, d/du2); "
-            "the closed forms for this shape are verified, not derived"
-        )
-    d1, d2 = translations.index(1), translations.index(2)
-    third = next(f for idx, f in enumerate(frame) if idx not in (d1, d2))
-    x3 = third[3]
-    if not (x3.is_constant() and x3):
-        raise UnsupportedGroupError("third generator needs a constant nonzero u3 component")
-    grad = [[differentiate(third[k], i) for k in range(4)] for i in range(4)]
-    for i in range(4):
-        for k in range(4):
-            if not grad[i][k].is_constant():
-                raise UnsupportedGroupError("third generator must have a constant gradient")
-
-    inv = ex.number(-1) / x3
-    rows = []
-    for (i, j) in PAIRS:
-        row = [ex.number(0)] * 6
-        # from xi^k dF_ij/du_k + (d_i xi^k) F_kj + (d_j xi^k) F_ik = 0
-        for k in range(4):
-            if grad[i][k]:
-                row = _add_component(row, k, j, grad[i][k] * inv)
-            if grad[j][k]:
-                row = _add_component(row, i, k, grad[j][k] * inv)
-        rows.append(tuple(row))
-    return FieldSystem(
-        frame=frame,
-        constants=derived,
-        ode_matrix=tuple(rows),
-        vanishing_directions=(1, 2),
-    )
-
-
-def _add_component(row, k, l, coeff):
-    """Add coeff * F_kl to an ode row, respecting antisymmetry."""
-    row = list(row)
-    if k == l:
-        return row
-    if (k, l) in PAIRS:
-        row[PAIRS.index((k, l))] = row[PAIRS.index((k, l))] + coeff
-    else:
-        row[PAIRS.index((l, k))] = row[PAIRS.index((l, k))] - coeff
-    return row
+    return FieldSystem(frame=frame, constants=derived)
 
 
 # ---------------------------------------------------------------------------
 # solution families
 # ---------------------------------------------------------------------------
 
-_FUNC_POOL = ("f1", "f2", "f3", "f4", "f5", "f6")
-_CONST_POOL = ("ta", "tb", "tc", "td", "te", "tf")
+_FUNC_POOL = ("f1", "f2", "f3")
+_CONST_POOL = ("ta", "tb", "tc")
+_SPATIAL = ((1, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
 class SolutionFamily:
     """General solution of a field system, parametrized by free functions of
-    u0 and free constants.  ``origins`` records, for each free function, the
-    component pair it parametrizes at u3 = 0 and whether it enters through
-    its derivative ("lifted") or directly."""
+    u0 and free constants."""
 
     type_tag: str
     components: Dict[Tuple[int, int], Expr]
     free_functions: Tuple[str, ...]
     free_constants: Tuple[str, ...]
-    origins: Dict[str, Tuple[Tuple[int, int], bool]]
     system: FieldSystem
 
     def as_field_tensor(self) -> FieldTensor:
@@ -201,222 +135,61 @@ class SolutionFamily:
 
 
 def solve_solvable(type_tag: str, q=None) -> SolutionFamily:
-    """General admissible field family for a solvable type (I..VII).
+    """General closed invariant field family for any of the nine types.
 
-    The u3 system is integrated through its exact fundamental matrix; the
-    exterior identities then eliminate or constrain the integration
-    functions.  Free functions that survive only up to an additive constant
-    are promoted to named free constants.
+    In the model's invariant coframe omega^a an invariant field has constant
+    coefficients, so F = d(f_a(u0) omega^a) + sum_k t_k Omega_k.  The Omega_k
+    are the wedges omega^b ^ omega^c that are closed and pointwise
+    independent of the exact forms d omega^a and of each other: the
+    constants that survive dF = 0 without coming from a potential.  ``q`` is
+    type VI's free structure constant; any other type rejects it.
     """
-    from .catalog import SOLVABLE, get_model
+    from .catalog import get_model
 
-    tag = str(type_tag).strip().upper()
-    if tag not in SOLVABLE:
-        raise UnsupportedGroupError(
-            f"type {type_tag!r} is not solvable; closed forms are verified, not derived"
-        )
-    model = get_model(tag, q=q) if tag == "VI" else get_model(tag)
+    model = get_model(type_tag, q=q)
     system = build_field_system(model.constants, model.frame)
+    omega = model.coframe.forms
+    zero = ex.number(0)
+    A = [zero, zero, zero, zero]
+    for name, form in zip(_FUNC_POOL, omega):
+        for i in range(3):
+            if form[i]:
+                A[i + 1] = A[i + 1] + ex.func(name) * form[i]
+    comps = field_from_potential(Potential(tuple(A))).upper_components()
 
-    # general solution of the u3 block: F = E(u3) c(u0)
-    E = fundamental_matrix([list(r) for r in system.ode_matrix], 3)
-    cnames = [f"c{i}{j}" for (i, j) in PAIRS]
-    comps: Dict[Tuple[int, int], Expr] = {}
-    for m, pair in enumerate(PAIRS):
-        acc = ex.number(0)
-        for n in range(6):
-            if E[m][n]:
-                acc = acc + E[m][n] * ex.func(cnames[n])
-        comps[pair] = acc
+    basis: List[List[Expr]] = []  # independent spatial 2-forms, as rows over _SPATIAL
 
-    free = dict.fromkeys(cnames)
+    def extends(row: List[Expr]) -> bool:
+        rows = basis + [row]
+        padded = rows + [[zero] * 3] * (3 - len(rows))
+        return len(rows) <= 3 and _pointwise_rank(padded) == len(rows)
+
+    for form in omega:
+        d_form = field_from_potential(Potential((zero,) + tuple(form)))
+        row = [d_form[pair] for pair in _SPATIAL]
+        if extends(row):
+            basis.append(row)
     consts: List[str] = []
-    const_pool = list(_CONST_POOL)
-
-    # eliminate through the remaining identities
-    for _round in range(12):
-        constraints = _extract_constraints(system, comps, set(free), set(consts))
-        if not constraints:
-            break
-        if _apply_single_unknown_rules(constraints, comps, free, consts, const_pool):
-            continue
-        if not _solve_order_zero_block(constraints, comps, free):
-            raise SolverError("elimination stalled; system outside the supported shape")
-    else:
-        raise SolverError("elimination did not converge")
-
-    # rename survivors: functions feeding the time row enter via derivatives
-    comps, names, origins = _rename_survivors(comps, free, cnames)
+    for b, c in ((0, 1), (0, 2), (1, 2)):
+        wedge = {
+            (i, j): omega[b][i - 1] * omega[c][j - 1] - omega[b][j - 1] * omega[c][i - 1]
+            for (i, j) in _SPATIAL
+        }
+        row = [wedge[pair] for pair in _SPATIAL]
+        closed = is_zero(bianchi_residual(FieldTensor.from_upper(wedge))[(1, 2, 3)])
+        if closed and extends(row):
+            basis.append(row)
+            name = _CONST_POOL[len(consts)]
+            consts.append(name)
+            for pair in _SPATIAL:
+                comps[pair] = comps[pair] + ex.param(name) * wedge[pair]
     return SolutionFamily(
-        type_tag=tag,
+        type_tag=model.type_tag,
         components=comps,
-        free_functions=tuple(names),
+        free_functions=_FUNC_POOL,
         free_constants=tuple(consts),
-        origins=origins,
         system=system,
     )
-
-
-def _extract_constraints(system, comps, func_unknowns, const_unknowns):
-    """Linear constraints over the unknowns from the residual equations.
-
-    Each constraint is a dict {FuncSymbol or constant name: scalar Expr}
-    collected from one u3-profile of one residual.
-    """
-    F = FieldTensor.from_upper(comps)
-    constraints = []
-    for name, e in system.residuals(F):
-        if not e:
-            continue
-        try:
-            terms = ex.linear_terms(e, func_unknowns, const_unknowns, split_constants=True)
-        except ex.UnsupportedExpressionError as err:
-            raise SolverError(f"residual {name}: {err}") from None
-        groups: Dict[Expr, Dict] = {}
-        for unknown, coeff, profile in terms:
-            if unknown is None:
-                raise SolverError("residual term without any unknown cannot vanish")
-            g = groups.setdefault(profile, {})
-            g[unknown] = g.get(unknown, ex.number(0)) + coeff
-        for g in groups.values():
-            g = {k: v for k, v in g.items() if not is_zero(v)}
-            if g:
-                constraints.append(g)
-    return constraints
-
-
-def _apply_single_unknown_rules(constraints, comps, free, consts, const_pool):
-    """c^(d) = 0 rules: order 0 kills the function, order 1 makes it a
-    constant (drawn from the tilde pool)."""
-    for g in constraints:
-        if len(g) != 1:
-            continue
-        (unknown, _coeff), = g.items()
-        if isinstance(unknown, str):
-            if unknown in consts:
-                _substitute_everywhere(comps, params={unknown: ex.number(0)})
-                consts.remove(unknown)
-                return True
-            continue
-        name, order = unknown
-        if name not in free:
-            continue
-        if order == 0:
-            _substitute_everywhere(comps, funcs={name: ex.number(0)})
-            del free[name]
-            return True
-        if order == 1:
-            cname = const_pool.pop(0)
-            _substitute_everywhere(comps, funcs={name: ex.param(cname)})
-            del free[name]
-            consts.append(cname)
-            return True
-        raise SolverError(f"unsupported constraint {name}^({order}) = 0")
-    return False
-
-
-def _solve_order_zero_block(constraints, comps, free):
-    """Solve the linear block for functions that occur undifferentiated."""
-    def undifferentiated(u):
-        return isinstance(u, FuncSymbol) and u.order == 0 and u.name in free
-
-    targets = []
-    for g in constraints:
-        for unknown in g:
-            if undifferentiated(unknown) and unknown.name not in targets:
-                targets.append(unknown.name)
-    if not targets:
-        return False
-    rows = [g for g in constraints if any(undifferentiated(u) for u in g)]
-    solution: Dict[str, Expr] = {}
-    remaining = list(rows)
-    for name in targets:
-        pivot_row = None
-        for g in remaining:
-            c = g.get((name, 0))
-            if c is not None and not is_zero(c):
-                pivot_row = g
-                break
-        if pivot_row is None:
-            continue
-        c0 = pivot_row[(name, 0)]
-        rhs = ex.number(0)
-        for unknown, coeff in pivot_row.items():
-            if unknown == (name, 0):
-                continue
-            if isinstance(unknown, str):
-                rhs = rhs - coeff * ex.param(unknown)
-            else:
-                rhs = rhs - coeff * ex.func(unknown.name, unknown.order)
-        value = rhs / c0
-        new_remaining = []
-        for g in remaining:
-            if g is pivot_row:
-                continue
-            c = g.get((name, 0))
-            if c is None or is_zero(c):
-                new_remaining.append(g)
-                continue
-            g2 = dict(g)
-            del g2[(name, 0)]
-            for unknown, coeff in _linear_terms(value, free):
-                g2[unknown] = g2.get(unknown, ex.number(0)) + c * coeff
-            g2 = {k: v for k, v in g2.items() if not is_zero(v)}
-            if g2:
-                new_remaining.append(g2)
-        remaining = new_remaining
-        solution[name] = value
-    if not solution:
-        return False
-    for name in list(solution):
-        solution[name] = ex.substitute(
-            solution[name], funcs={k: v for k, v in solution.items() if k != name}
-        )
-    _substitute_everywhere(comps, funcs=solution)
-    for name in solution:
-        free.pop(name, None)
-    return True
-
-
-def _linear_terms(value: Expr, func_unknowns):
-    """Decompose a linear expression into [(unknown, scalar coeff)]."""
-    try:
-        terms = ex.linear_terms(value, func_unknowns, split_constants=True)
-    except ex.UnsupportedExpressionError as err:
-        raise SolverError(f"substitution value: {err}") from None
-    if any(unknown is None for unknown, _c, _r in terms):
-        raise SolverError("substitution value has a term without unknowns")
-    return [(unknown, coeff * rest) for unknown, coeff, rest in terms]
-
-
-def _substitute_everywhere(comps, funcs=None, params=None):
-    for pair in list(comps):
-        comps[pair] = ex.substitute(comps[pair], funcs=funcs or {}, params=params or {})
-
-
-def _rename_survivors(comps, free, cnames):
-    """Give surviving functions their public names; functions that appear
-    undifferentiated in a time-row component are replaced by the derivative
-    of a fresh function so potentials can be reconstructed."""
-    time_pairs = [(0, 1), (0, 2), (0, 3)]
-    names = []
-    origins: Dict[str, Tuple[Tuple[int, int], bool]] = {}
-    pool = list(_FUNC_POOL)
-    ordered = [c for c in cnames if c in free]
-    for cname in ordered:
-        pair = PAIRS[cnames.index(cname)]
-        fresh = pool.pop(0)
-        lifted = False
-        for tp in time_pairs:
-            sym = ex.free_symbols(comps[tp])
-            if FuncSymbol(cname, 0) in sym["funcs"]:
-                lifted = True
-                break
-        target = ex.func(fresh, 1) if lifted else ex.func(fresh, 0)
-        _substitute_everywhere(comps, funcs={cname: target})
-        names.append(fresh)
-        origins[fresh] = (pair, lifted)
-    return comps, names, origins
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +282,6 @@ def apply_algebraic_constraints(
         components=comps,
         free_functions=fam.free_functions,
         free_constants=tuple(n for n in fam.free_constants if n not in forced),
-        origins=fam.origins,
         system=fam.system,
     )
     A2 = reconstruct_potential(reduced.as_field_tensor())
@@ -536,19 +308,13 @@ def _solve_homogeneous_rational(rows, unknowns):
 
 def catalog_witness(fam: SolutionFamily) -> Dict[str, Expr]:
     """Explicit assignment of the family's free functions reproducing the
-    catalog field tensor (free constants at zero)."""
+    catalog field tensor (free constants at zero): the coefficients of the
+    catalog potential in the invariant coframe, A_i = sum_a f_a omega^a_i."""
     from .catalog import get_model
 
-    if fam.type_tag == "VI":
-        # recover the free structure constant the family was solved with
-        q = fam.system.constants[1, 2, 1].as_rational()
-        model = get_model(fam.type_tag, q=q)
-    else:
-        model = get_model(fam.type_tag)
-    zero = ex.number(0)
-    witness: Dict[str, Expr] = {}
-    for name in fam.free_functions:
-        pair, lifted = fam.origins[name]
-        target = ex.substitute(model.field[pair], coords={3: zero})
-        witness[name] = antiderivative(target, 0) if lifted else target
-    return witness
+    # recover the free structure constant a type VI family was solved with
+    q = fam.system.constants[1, 2, 1].as_rational() if fam.type_tag == "VI" else None
+    model = get_model(fam.type_tag, q=q)
+    mat = [[model.coframe.forms[a][i] for a in range(3)] for i in range(3)]
+    coeffs = _solve3(mat, [model.potential[i] for i in (1, 2, 3)], _det3(mat))
+    return dict(zip(fam.free_functions, coeffs))

@@ -196,9 +196,19 @@ class TestCommandLine:
         assert rc == 0
         assert "free functions of u0: f1, f2, f3" in out
 
-    def test_solve_unsolvable_exit_two(self, capsys):
-        rc = cli.main(["solve", "--group", "IX"])
+    def test_solve_unknown_group_exit_two(self, capsys):
+        rc = cli.main(["solve", "--group", "X"])
         assert rc == 2
+
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_solve_every_type(self, capsys, tag):
+        rc = cli.main(["solve", "--group", tag, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert doc["free_functions"] == ["f1", "f2", "f3"]
+        assert doc["free_constants"] == []
+        pre = {"I": 3, "II": 2, "III": 1}.get(tag, 0)
+        assert len(doc["pre_constraint_constants"]) == pre
 
     def test_export_then_verify(self, capsys, tmp_path):
         path = tmp_path / "m.manifest"
@@ -325,6 +335,12 @@ _INPUT_ERRORS = {
         {},
     ),
     "solve-vi-q-one": (["solve", "--group", "VI", "--q", "1"], {}),
+    "solve-unknown-group": (["solve", "--group", "X"], {}),
+    "solve-q-off-type-vi": (["solve", "--group", "V", "--q", "3"], {}),
+    "simulate-nan-tau": (["simulate", "--group", "I", "--tau", "nan"], {}),
+    "simulate-inf-tau": (["simulate", "--group", "I", "--tau", "inf"], {}),
+    "simulate-nan-tol": (["simulate", "--group", "I", "--tol", "nan"], {}),
+    "simulate-zero-max-steps": (["simulate", "--group", "I", "--max-steps", "0"], {}),
 }
 
 
@@ -568,12 +584,14 @@ def test_load_manifest_fuzz_raises_only_manifest_error(exported_manifests, tmp_p
 # (`verify`) are left out: they may differ across numpy builds.
 _OUTPUT_SHA256 = {
     ("solve", "I"): "1c0b1bd8b98fc4794cfca5b3ed80483aea46e4a8988a04badcf931e0fb8b9e21",
-    ("solve", "II"): "f35a83964545b9ff74df8fa8cd8cf764f665e82184be40472fcc4442a7995415",
-    ("solve", "III"): "8987316e6b1874a3bedbc0526f4368de2e8da000dae75e5be1bdf422226c4563",
-    ("solve", "IV"): "ccb8b50f639ac41d9b234f9bbe9d067ddd0957b077ad74a90d57cb4705a95615",
-    ("solve", "V"): "5586f26e1188eb8dfd3f6a8113ba78de85dfddf7a2922edb0352a48064121063",
-    ("solve", "VI"): "74006bdff5daaee8026111eb4884419db002f1d0a8cbe5805cecb3c0900e47ac",
-    ("solve", "VII"): "79f348e9fcd92bd06b07a57599ea9b7d965fbdd0fa6d466f3a7531beb95cab14",
+    ("solve", "II"): "cbe12e92b3aeac94d25ed95a3b2af35fed50bcc19c9fa248bc5c19cc0f055230",
+    ("solve", "III"): "f417de4b0779560b1e020da7be0810e68f610f07bf7b781a6f10cef2a73f7fa0",
+    ("solve", "IV"): "853d54c7dfcb48c64004ff7fefd956864d0a098aff1b876f0cd6826739d6d64b",
+    ("solve", "V"): "65846b4af6c69340efd215f903e2281fc5361502748ca759786cb5f1969e70b0",
+    ("solve", "VI"): "baa317926ebddfc6e3cfa8199141b270746e3ac0211ca07096e3dcee89a58d4c",
+    ("solve", "VII"): "9b009310b7770c35d76282e4c89d19a48b472f0e8ad8742bfeb99e655b7f8b68",
+    ("solve", "VIII"): "7bf00cea8c21eb5d9db6caf5d5479a674afdf5914916512a0a23ecab4c4d99ce",
+    ("solve", "IX"): "a05b606ce5a346f2f63917c5e104931e284803a250b7b926bae38b4afbb2f897",
     ("errata", "I"): "95df765fac43e96e06844d917720ff0ae3ded63773181f1540abbbc385469d09",
     ("errata", "II"): "7c6c92a3cc33d52dbe272d1ffa7bca9e8f17d528d09c9140ae0f6fdf788a2dd2",
     ("errata", "III"): "88e1f68163f7ccb14c54fa512c92f95a354d85b13a339eec2ed461d195dcea13",
@@ -582,7 +600,7 @@ _OUTPUT_SHA256 = {
     ("errata", "VI"): "e8b298916803a8f3a76248e6148d045cc4b54c511c61d6078f76ede2f5bd8d96",
     ("errata", "VII"): "38c0abd08e2f77e774ca6c25dda423c2095f3390a5d25019ca162d095f69d950",
     ("errata", "VIII"): "3231c9af8f6e90bfa03f2a7170853b7b74dd0212c200a929cad91d2749d05950",
-    ("errata", "IX"): "7a5a46993d4f49c8de7a8af401dbee5831e030f34611f8d4119fa3f82e7c5b14",
+    ("errata", "IX"): "8849d3f7f1d3ee06eb07f8f7a137333ce46dd020a3ea84617cf26756da804edf",
 }
 
 

@@ -1,6 +1,7 @@
 """Field-system construction, closed-form families, constraint elimination
 and potential reconstruction."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -36,37 +37,24 @@ def reduced_families(families):
 
 
 class TestBuildFieldSystem:
-    def test_translation_model_system_is_trivial(self, models):
-        m = models["I"]
-        system = build_field_system(m.constants, m.frame)
-        assert all(
-            is_zero(system.ode_matrix[r][c]) for r in range(6) for c in range(6)
-        )
-        assert system.vanishing_directions == (1, 2)
+    def test_all_nine_frames_accepted(self, models):
+        for tag, m in models.items():
+            system = build_field_system(m.constants, m.frame)
+            assert system.frame == m.frame, tag
+            assert system.constants == m.constants, tag
 
-    def test_shear_model_rows(self, models):
-        m = models["II"]
-        system = build_field_system(m.constants, m.frame)
-        # dF02/du3 = F01 and dF23/du3 = F13; everything else vanishes
-        expected = {((0, 2), (0, 1)): 1, ((2, 3), (1, 3)): 1}
-        for r, pr in enumerate(PAIRS):
-            for c, pc in enumerate(PAIRS):
-                want = expected.get((pr, pc), 0)
-                assert system.ode_matrix[r][c] == ex.number(want), (pr, pc)
-
-    def test_angle_model_rows(self, models):
-        m = models["VII"]
-        system = build_field_system(m.constants, m.frame)
-        r01, r02 = PAIRS.index((0, 1)), PAIRS.index((0, 2))
-        assert system.ode_matrix[r01][r02] == ex.number(-1)
-        assert system.ode_matrix[r02][r01] == ex.number(1)
-        assert system.ode_matrix[r02][r02] == parse("-2*cos(alpha)")
-
-    def test_unsolvable_frames_rejected(self, models):
+    def test_non_solvable_catalog_fields_satisfy_their_systems(self, models):
         for tag in ("VIII", "IX"):
             m = models[tag]
-            with pytest.raises(UnsupportedGroupError):
-                build_field_system(m.constants, m.frame)
+            system = build_field_system(m.constants, m.frame)
+            assert system.satisfied_by(m.field), tag
+
+    def test_perturbed_field_fails_its_system(self, models):
+        for tag, m in models.items():
+            system = build_field_system(m.constants, m.frame)
+            comps = m.field.upper_components()
+            comps[(1, 2)] = comps[(1, 2)] + ex.coord(1)
+            assert not system.satisfied_by(FieldTensor.from_upper(comps)), tag
 
     def test_catalog_fields_satisfy_their_systems(self, models):
         for tag in SOLVABLE:
@@ -112,23 +100,28 @@ class TestSolveSolvable:
         a = ex.Assignment(
             (0.0, 0.0, 0.0, 0.7),
             {"alpha": math.pi / 2},
-            {("f2", 0): 1.3, ("f3", 0): -0.4},
+            {("f1", 0): 1.3, ("f2", 0): -0.4},
         )
-        undamped = parse("f2*cos(u3) + f3*(-1)*sin(u3)")
+        undamped = parse("f1*sin(u3) + f2*cos(u3)")
         assert abs(ex.evaluate(f13, a) - ex.evaluate(undamped, a)) < 1e-12
 
-    def test_unsolvable_rejected(self):
+    def test_non_solvable_types_solve(self):
         for tag in ("VIII", "IX"):
-            with pytest.raises(UnsupportedGroupError):
-                solve_solvable(tag)
+            fam = solve_solvable(tag)
+            assert fam.free_functions == ("f1", "f2", "f3"), tag
+            assert fam.free_constants == (), tag
+            assert fam.system.satisfied_by(fam.as_field_tensor()), tag
 
     def test_q_family_with_generic_parameter(self):
         fam = solve_solvable("VI", q=3)
         f23 = fam.components[(2, 3)]
-        sym = ex.free_symbols(f23)
         assert fam.system.satisfied_by(fam.as_field_tensor())
         # growth rate follows the free structure constant
-        assert ex.substitute(f23, coords={3: ex.number(0)}) == ex.func("f3")
+        assert ex.substitute(f23, coords={3: ex.number(0)}) == -3 * ex.func("f2")
+
+    def test_q_rejected_off_type_vi(self):
+        with pytest.raises(ex.InputError, match="only applies to type VI"):
+            solve_solvable("V", q=3)
 
 
 class TestRowReduce:
@@ -237,3 +230,80 @@ class TestReconstructPotential:
             F = fam.as_field_tensor()
             A = reconstruct_potential(F)
             assert field_from_potential(A) == F, tag
+
+
+class TestEveryType:
+    """The families of the two types outside SOLVABLE, against the catalog."""
+
+    @pytest.mark.parametrize("tag", ["VIII", "IX"])
+    def test_witness_and_round_trip(self, models, tag):
+        fam = apply_algebraic_constraints(solve_solvable(tag))
+        assert fam.free_constants == ()
+        got = fam.substitute(funcs=catalog_witness(fam))
+        for pair, value in got.items():
+            assert is_zero(value - models[tag].field[pair]), pair
+        F = fam.as_field_tensor()
+        assert field_from_potential(reconstruct_potential(F)) == F
+
+    def test_type_ix_keeps_a_third_function(self):
+        # gamma0 on the invariant form omega^3 = cos(u1) du2 + du3 is admissible;
+        # the catalog potential sets it to zero, so its witness is f3 = 0
+        fam = apply_algebraic_constraints(solve_solvable("IX"))
+        assert fam.free_functions == ("f1", "f2", "f3")
+        assert ex.free_symbols(fam.components[(0, 3)])["funcs"] == {ex.FuncSymbol("f3", 1)}
+        assert is_zero(catalog_witness(fam)["f3"])
+
+
+# ---------------------------------------------------------------------------
+# the loop solve -> verify -> integrate
+# ---------------------------------------------------------------------------
+
+_CATALOG_NAMES = {"f1": ex.func("alpha0"), "f2": ex.func("beta0"), "f3": ex.func("gamma0")}
+# criterion 7's operating point; VIII's chart only holds on [0, 1]
+_LOOP_SPAN = {"VIII": (0.0, 1.0)}
+
+
+def _solved_model(m, fam):
+    """The catalog model with its potential replaced by the family's
+    reconstructed potential, free functions named as the catalog's."""
+    A = reconstruct_potential(fam.as_field_tensor())
+    A = Potential(tuple(ex.substitute(c, funcs=_CATALOG_NAMES) for c in A))
+    return catalog.build_model(m.type_tag, m.params, m.frame, m.coframe, m.metric, A)
+
+
+class TestClosedLoop:
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_solved_family_verifies_and_conserves(self, models, tag):
+        from symlab import cli, dynamics
+
+        m = models[tag]
+        solved = _solved_model(m, apply_algebraic_constraints(solve_solvable(tag)))
+        report = cli.run_verification(solved, samples=5)
+        assert report.passed, [c.name for c in report.checks if c.verdict != "pass"]
+        inst = dynamics.standard_instance(solved)
+        span = _LOOP_SPAN.get(tag, (0.0, 10.0))
+        for st in dynamics.random_initial_states(solved, 5, seed=2026, radius=0.3):
+            traj = dynamics.integrate(inst, st, span, 1e-10, max_steps=2500)
+            assert max(dynamics.conserved_drift(traj, inst).values()) < 1e-8
+
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_perturbed_potential_fails(self, models, tag):
+        from symlab import cli
+
+        m = models[tag]
+        solved = _solved_model(m, apply_algebraic_constraints(solve_solvable(tag)))
+        A = list(solved.potential)
+        A[2] = A[2] + ex.coord(1) * ex.coord(1)
+        bad = catalog.build_model(tag, m.params, m.frame, m.coframe, m.metric, Potential(tuple(A)))
+        assert not cli.run_verification(bad, samples=5).passed
+
+    @pytest.mark.parametrize("tag", ["I", "II", "III"])
+    def test_family_before_constraints_fails(self, models, tag):
+        from symlab import cli
+
+        fam = solve_solvable(tag)
+        assert fam.free_constants
+        comps = fam.substitute(consts={name: 1 for name in fam.free_constants})
+        unconstrained = dataclasses.replace(fam, components=comps, free_constants=())
+        solved = _solved_model(models[tag], unconstrained)
+        assert not cli.run_verification(solved, samples=5).passed
