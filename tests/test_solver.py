@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from symlab import catalog, expr as ex, solver
+from symlab import catalog, cli, dynamics, expr as ex, solver
 from symlab._symint import row_reduce
 from symlab.emfield import FieldTensor, Potential, field_from_potential
 from symlab.expr import is_zero, parse
@@ -274,8 +274,6 @@ def _solved_model(m, fam):
 class TestClosedLoop:
     @pytest.mark.parametrize("tag", catalog.TAGS)
     def test_solved_family_verifies_and_conserves(self, models, tag):
-        from symlab import cli, dynamics
-
         m = models[tag]
         solved = _solved_model(m, apply_algebraic_constraints(solve_solvable(tag)))
         report = cli.run_verification(solved, samples=5)
@@ -288,8 +286,6 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("tag", catalog.TAGS)
     def test_perturbed_potential_fails(self, models, tag):
-        from symlab import cli
-
         m = models[tag]
         solved = _solved_model(m, apply_algebraic_constraints(solve_solvable(tag)))
         A = list(solved.potential)
@@ -299,8 +295,6 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("tag", ["I", "II", "III"])
     def test_family_before_constraints_fails(self, models, tag):
-        from symlab import cli
-
         fam = solve_solvable(tag)
         assert fam.free_constants
         comps = fam.substitute(consts={name: 1 for name in fam.free_constants})
