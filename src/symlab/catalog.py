@@ -610,10 +610,10 @@ def random_model_assignment(
     return ex.Assignment(coords, params_out, funcs_out)
 
 
-def _nonzero_uniform(rng, lo=-2.0, hi=2.0, min_abs=0.2):
+def _nonzero_uniform(rng):
     while True:
-        v = rng.uniform(lo, hi)
-        if abs(v) >= min_abs:
+        v = rng.uniform(-2.0, 2.0)
+        if abs(v) >= 0.2:
             return v
 
 

@@ -98,7 +98,6 @@ class Report:
     params: Dict[str, str]
     checks: List[CheckResult] = field(default_factory=list)
     errata: List[Dict[str, str]] = field(default_factory=list)
-    solver_output: Optional[str] = None
     seed: int = 0
     samples: int = 0
     timing_seconds: Optional[float] = None
@@ -116,7 +115,8 @@ class Report:
             "samples": self.samples,
             "checks": [c.as_dict() for c in self.checks],
             "errata": self.errata,
-            "solver_output": self.solver_output,
+            # no report carries solver text; the key keeps the document's shape
+            "solver_output": None,
             "passed": self.passed,
             # kept null so identical inputs give byte-identical documents
             "timing_seconds": None,
@@ -420,10 +420,6 @@ def emit_report(report: Report, fmt: str = "text") -> str:
             lines.append(f"      printed:    {note['printed_form']}")
             lines.append(f"      consistent: {note['consistent_form']}")
             lines.append(f"      evidence:   {note['evidence']}")
-    if report.solver_output:
-        lines.append("  solver:")
-        for ln in report.solver_output.splitlines():
-            lines.append("    " + ln)
     if report.timing_seconds is not None:
         lines.append(f"  time: {report.timing_seconds:.2f} s")
     lines.append("  result: " + ("PASS" if report.passed else "FAIL"))

@@ -313,8 +313,7 @@ def hamiltonian_at(inst: ModelInstance, state: PhaseState) -> float:
 
 
 # Verner 6(5) embedded pair: 9 stages, FSAL, 6th-order propagation.
-# Stage times are listed for completeness; the flow is autonomous.
-_V65_C = (0.0, 9 / 50, 1 / 6, 1 / 4, 53 / 100, 3 / 5, 4 / 5, 1.0, 1.0)
+# The flow is autonomous, so the stage times are not needed.
 _V65_A = (
     (),
     (9 / 50,),

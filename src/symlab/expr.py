@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -995,25 +996,18 @@ def free_symbols(e: Expr):
     return {"coords": coords, "params": params, "funcs": funcs}
 
 
-def linear_terms(
-    e: Expr,
-    funcs: Iterable[str] = (),
-    params: Iterable[str] = (),
-    split_constants: bool = False,
-) -> list:
+def linear_terms(e: Expr, params: Iterable[str] = ()) -> list:
     """One ``(unknown, coeff, rest)`` per numerator term, in canonical order,
     with ``e == sum(coeff * unknown * rest)`` (an unknown of None counts as 1).
 
-    ``unknown`` is the term's factor that is a function named in ``funcs`` (any
-    derivative order, as a FuncSymbol) or a parameter named in ``params`` (its
-    name), or None.  ``coeff`` is the rational coefficient over the constant
-    denominator of ``e``; with ``split_constants`` it also takes the term's
-    other parameter and constant-angle factors.  ``rest`` holds the remaining
-    factors, so terms that differ only in unknown and coefficient share it.
-    Raises UnsupportedExpressionError when the denominator is not constant or
-    a term is not linear in the unknowns.
+    ``unknown`` is the term's factor that is a parameter named in ``params``
+    (its name), or None.  ``coeff`` is the rational coefficient over the
+    constant denominator of ``e``.  ``rest`` holds the remaining factors, so
+    terms that differ only in unknown and coefficient share it.  Raises
+    UnsupportedExpressionError when the denominator is not constant or a term
+    is not linear in the unknowns.
     """
-    funcs, params = frozenset(funcs), frozenset(params)
+    params = frozenset(params)
     inv = None
     if e.den != SUM_ONE:
         den = Expr(e.den)
@@ -1023,30 +1017,22 @@ def linear_terms(
     out = []
     for m in e.num:
         unknown = None
-        const_pows, rest_pows = [], []
+        rest_pows = []
         for key, n in m.pows:
-            if (key[0] == "f" and key[1] in funcs) or (key[0] == "p" and key[1] in params):
+            if key[0] == "p" and key[1] in params:
                 if unknown is not None or n != 1:
                     raise UnsupportedExpressionError("term is not linear in the unknowns")
-                unknown = FuncSymbol(key[1], key[2]) if key[0] == "f" else key[1]
-            elif split_constants and key[0] in ("p", "tc"):
-                const_pows.append((key, n))
+                unknown = key[1]
             else:
                 rest_pows.append((key, n))
-        coeff = Expr((Mono(m.coeff, tuple(const_pows), LF_ZERO, ()),))
+        coeff = Expr((Mono(m.coeff, (), LF_ZERO, ()),))
         if inv is not None:
             coeff = coeff * inv
         out.append((unknown, coeff, Expr((Mono(1, tuple(rest_pows), m.expl, m.trig),))))
     return out
 
 
-def random_assignment(
-    exprs: Iterable[Expr],
-    rng,
-    coord_range=(-1.0, 1.0),
-    value_range=(-2.0, 2.0),
-    min_abs=0.15,
-) -> Assignment:
+def random_assignment(exprs: Iterable[Expr], rng) -> Assignment:
     """Generic random binding for every free symbol of the expressions.
 
     Nonzero magnitudes are enforced on parameters and function values so that
@@ -1060,11 +1046,11 @@ def random_assignment(
 
     def draw():
         while True:
-            v = rng.uniform(*value_range)
-            if abs(v) >= min_abs:
+            v = rng.uniform(-2.0, 2.0)
+            if abs(v) >= 0.15:
                 return v
 
-    coords = [rng.uniform(*coord_range) for _ in range(NCOORDS)]
+    coords = [rng.uniform(-1.0, 1.0) for _ in range(NCOORDS)]
     return Assignment(
         coords,
         {p: draw() for p in params},
@@ -1072,7 +1058,10 @@ def random_assignment(
     )
 
 
-def is_zero(e: Expr, rng=None, samples: int = 8) -> bool:
+_ZERO_TEST_SAMPLES = 8
+
+
+def is_zero(e: Expr) -> bool:
     """True iff the canonical form is the empty sum (after clearing
     single-factor denominators), cross-checked numerically at random points.
 
@@ -1085,13 +1074,10 @@ def is_zero(e: Expr, rng=None, samples: int = 8) -> bool:
         return True
     cleared = _clear_negative_powers(e.num)
     verdict = not cleared
-    if rng is None:
-        import random as _random
-
-        rng = _random.Random(0xC0FFEE)
+    rng = random.Random(0xC0FFEE)
     checked = 0
     tries = 0
-    while checked < samples and tries < samples * 20:
+    while checked < _ZERO_TEST_SAMPLES and tries < _ZERO_TEST_SAMPLES * 20:
         tries += 1
         a = random_assignment([e], rng)
         try:
@@ -1110,7 +1096,7 @@ def is_zero(e: Expr, rng=None, samples: int = 8) -> bool:
             )
         if not verdict and abs(value) > 1e-12 * scale:
             return False
-    if not verdict and checked == samples and len(e.num) > 1:
+    if not verdict and checked == _ZERO_TEST_SAMPLES and len(e.num) > 1:
         # a multi-term sum that cancels numerically at every sample point
         # means the canonical form failed to collapse an identity
         raise InternalInconsistencyError(
@@ -1135,11 +1121,14 @@ def substitute(
     ``funcs`` maps base names to replacement expressions in ``u0``; a symbol
     of derivative order k is replaced by the k-th derivative of the
     replacement.  Substituted coordinate values inside exp/sin/cos arguments
-    must keep the argument in the supported linear class.
+    must keep the argument in the supported linear class.  With nothing to
+    substitute, ``e`` itself is returned.
     """
     coords = {i: Expr._coerce(v) for i, v in (coords or {}).items()}
     funcs = dict(funcs or {})
     params = {k: Expr._coerce(v) for k, v in (params or {}).items()}
+    if not (coords or funcs or params):
+        return e
 
     func_cache: dict = {}
 

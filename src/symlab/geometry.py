@@ -461,11 +461,13 @@ class Metric:
     def determinant(self) -> Expr:
         if self._det is None:
             g = self.entries
-            if all(not g[0][a] for a in range(1, 4)):
+            if any(g[0][a] for a in range(1, 4)):
+                self._det = _det4(g)
+            elif not g[0][0]:
+                self._det = g[0][0]
+            else:
                 spatial = [[g[i][j] for j in range(1, 4)] for i in range(1, 4)]
                 self._det = g[0][0] * _det3(spatial)
-            else:
-                self._det = _det4(g)
         return self._det
 
     def determinant_gradient(self) -> Tuple[Expr, ...]:
@@ -475,20 +477,19 @@ class Metric:
         return self._ddet
 
 
-DEFAULT_SPATIAL_FUNCTIONS = (
+_SPATIAL_FUNCTIONS = (
     ("a11", "a12", "a13"),
     ("a12", "a22", "a23"),
     ("a13", "a23", "a33"),
 )
 
 
-def metric_from_coframe(cf: Coframe, sign: Expr = None, names=DEFAULT_SPATIAL_FUNCTIONS) -> Metric:
+def metric_from_coframe(cf: Coframe) -> Metric:
     """Invariant metric a_st(u0) s^s s^t + e (du0)^2 from a coframe."""
-    if sign is None:
-        sign = ex.param("e")
-    a = [[ex.func(names[s][t]) for t in range(3)] for s in range(3)]
+    sign = ex.param("e")
+    a = [[ex.func(_SPATIAL_FUNCTIONS[s][t]) for t in range(3)] for s in range(3)]
     entries = [[ex.number(0)] * 4 for _ in range(4)]
-    entries[0][0] = ex.Expr._coerce(sign)
+    entries[0][0] = sign
     for i in range(1, 4):
         for j in range(i, 4):
             acc = ex.number(0)

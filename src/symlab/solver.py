@@ -11,9 +11,9 @@ constraints on the reconstructed potential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import expr as ex
 from .expr import Expr, differentiate, is_zero
@@ -147,7 +147,7 @@ def solve_solvable(type_tag: str, q=None) -> SolutionFamily:
     from .catalog import get_model
 
     model = get_model(type_tag, q=q)
-    system = build_field_system(model.constants, model.frame)
+    system = FieldSystem(frame=model.frame, constants=model.constants)
     omega = model.coframe.forms
     zero = ex.number(0)
     A = [zero, zero, zero, zero]
@@ -240,25 +240,19 @@ def reconstruct_potential(F: FieldTensor) -> Potential:
     return out
 
 
-def apply_algebraic_constraints(
-    fam: SolutionFamily,
-    frame: Optional[Sequence[VectorField]] = None,
-    C: Optional[StructureConstants] = None,
-    A: Optional[Potential] = None,
-) -> SolutionFamily:
-    """Eliminate free constants that violate the algebraic constraints.
+def apply_algebraic_constraints(fam: SolutionFamily) -> SolutionFamily:
+    """Eliminate the free constants through the algebraic constraints.
 
-    The constraints act on the reconstructed potential; constants whose
-    coefficients cannot cancel are forced to zero, and the reduced family is
-    verified to satisfy the constraints identically.
+    The constraints act on the reconstructed potential.  Each constant must
+    be forced to zero by them, and the family with every constant at zero
+    must satisfy them identically.  Reconstruction and the residual are both
+    linear in the constants, so that check substitutes the zeros into the
+    one residual already built.
     """
-    frame = tuple(frame) if frame is not None else fam.system.frame
-    C = C if C is not None else fam.system.constants
-    if A is None:
-        A = reconstruct_potential(fam.as_field_tensor())
-    res = algebraic_constraint_residual(A, frame, C)
+    A = reconstruct_potential(fam.as_field_tensor())
+    res = algebraic_constraint_residual(A, fam.system.frame, fam.system.constants)
 
-    rows: List[Dict[str, Fraction]] = []
+    rows: List[List[Fraction]] = []
     for a in range(3):
         for b in range(3):
             try:
@@ -270,35 +264,18 @@ def apply_algebraic_constraints(
                 if name is not None:
                     g = groups.setdefault(profile, {})
                     g[name] = g.get(name, 0) + coeff.as_rational()
-            rows.extend({n: r for n, r in g.items() if r} for g in groups.values())
-
-    forced = _solve_homogeneous_rational(rows, fam.free_constants)
-    if forced is None:
+            rows.extend([g.get(n, 0) for n in fam.free_constants] for g in groups.values())
+    _rref, pivots = row_reduce(rows)
+    if len(pivots) != len(fam.free_constants):
         raise SolverError("algebraic constraints do not determine the constants")
-    subs = {name: ex.number(0) for name in forced}
-    comps = {pair: ex.substitute(e2, params=subs) for pair, e2 in fam.components.items()}
-    reduced = SolutionFamily(
-        type_tag=fam.type_tag,
-        components=comps,
-        free_functions=fam.free_functions,
-        free_constants=tuple(n for n in fam.free_constants if n not in forced),
-        system=fam.system,
-    )
-    A2 = reconstruct_potential(reduced.as_field_tensor())
-    res2 = algebraic_constraint_residual(A2, frame, C)
-    for a in range(3):
-        for b in range(3):
-            if not is_zero(res2[a][b]):
+
+    zeros = {name: ex.number(0) for name in fam.free_constants}
+    for row in res:
+        for e in row:
+            if not is_zero(ex.substitute(e, params=zeros)):
                 raise SolverError("constraints remain violated after elimination")
-    return reduced
-
-
-def _solve_homogeneous_rational(rows, unknowns):
-    """Names forced to zero by the homogeneous system, or None when a
-    nontrivial combination remains free (not expected for these groups)."""
-    unknowns = list(unknowns)
-    _rref, pivots = row_reduce([[row.get(u, 0) for u in unknowns] for row in rows])
-    return unknowns if len(pivots) == len(unknowns) else None
+    comps = {pair: ex.substitute(e, params=zeros) for pair, e in fam.components.items()}
+    return replace(fam, components=comps, free_constants=())
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -609,3 +613,22 @@ def test_exact_output_is_pinned(capsys, command, group):
     assert cli.main([command, "--group", group, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _OUTPUT_SHA256[(command, group)]
+
+
+def _run_module(*args):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    return subprocess.run(
+        [sys.executable, "-m", "symlab", *args],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point_exit_status():
+    done = _run_module("solve", "--group", "IX", "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == _OUTPUT_SHA256[("solve", "IX")]
+    done = _run_module("verify", "--group", "I", "--samples", "0")
+    assert done.returncode == 2
+    printed = done.stdout + done.stderr
+    assert printed.startswith("error:") and printed.count("\n") == 1, printed

@@ -413,8 +413,7 @@ def test_verify_output_independent_of_sort_key_cache(capsys):
 # linear term splitting
 # ---------------------------------------------------------------------------
 
-_LINEAR_FUNCS = ("f1", "f2")
-_LINEAR_PARAMS = ("ta",)
+_LINEAR_PARAMS = ("ta", "tb")
 _unknowns = st.sampled_from(
     [ex.func("f1"), ex.func("f1", 2), ex.func("f2", 1), ex.param("ta"), ex.number(1)]
 )
@@ -434,52 +433,38 @@ def linear_combinations(draw):
     return e
 
 
-def _as_expr(unknown):
-    if unknown is None:
-        return ex.number(1)
-    if isinstance(unknown, str):
-        return ex.param(unknown)
-    return ex.func(unknown.name, unknown.order)
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(e=linear_combinations(), split=st.booleans())
-def test_linear_terms_rebuild_the_expression(e, split):
-    terms = ex.linear_terms(e, _LINEAR_FUNCS, _LINEAR_PARAMS, split_constants=split)
+@given(e=linear_combinations())
+def test_linear_terms_rebuild_the_expression(e):
+    terms = ex.linear_terms(e, params=_LINEAR_PARAMS)
     assert len(terms) == len(e.num)
     rebuilt = ex.number(0)
     for unknown, coeff, rest in terms:
         assert coeff.is_constant()
-        assert not ex.free_symbols(rest)["funcs"] & {
-            ex.FuncSymbol(n, k) for n in _LINEAR_FUNCS for k in range(3)
-        }
-        if split:
-            assert not ex.free_symbols(rest)["params"]
-        rebuilt = rebuilt + coeff * _as_expr(unknown) * rest
+        assert not ex.free_symbols(rest)["params"] & set(_LINEAR_PARAMS)
+        factor = ex.number(1) if unknown is None else ex.param(unknown)
+        rebuilt = rebuilt + coeff * factor * rest
     assert rebuilt == e
 
 
 def test_linear_terms_group_by_rest():
-    e = parse("3*f1*exp(u3) + k*f2'*exp(u3) - ta*exp(u3) + 5*u1", functions=_LINEAR_FUNCS)
-    terms = ex.linear_terms(e, _LINEAR_FUNCS, _LINEAR_PARAMS, split_constants=True)
-    by_unknown = {u: (c, r) for u, c, r in terms}
-    assert by_unknown[ex.FuncSymbol("f1", 0)] == (ex.number(3), ex.exp(ex.coord(3)))
-    assert by_unknown[ex.FuncSymbol("f2", 1)] == (ex.param("k"), ex.exp(ex.coord(3)))
-    assert by_unknown["ta"] == (ex.number(-1), ex.exp(ex.coord(3)))
-    assert by_unknown[None] == (ex.number(5), ex.coord(1))
-    plain = ex.linear_terms(e, _LINEAR_FUNCS, _LINEAR_PARAMS)
-    assert [(u, c) for u, c, _r in plain if u == ex.FuncSymbol("f2", 1)] == [
-        (ex.FuncSymbol("f2", 1), ex.number(1))
-    ]
+    e = parse("3*ta*exp(u3) - tb*exp(u3) + k*ta*u1 - f1'*exp(u3) + 5*u1", functions=("f1",))
+    u3, u1 = ex.exp(ex.coord(3)), ex.coord(1)
+    assert set(ex.linear_terms(e, params=_LINEAR_PARAMS)) == {
+        ("ta", ex.number(3), u3),
+        ("tb", ex.number(-1), u3),
+        ("ta", ex.number(1), ex.param("k") * u1),
+        (None, ex.number(-1), ex.func("f1", 1) * u3),
+        (None, ex.number(5), u1),
+    }
 
 
 @pytest.mark.parametrize(
-    "text", ["f1^2 + f2", "f1*f2", "f1*ta", "f1/(u1 + 1)"], ids=["square", "product", "mixed", "denominator"]
+    "text", ["ta^2 + tb", "ta*tb", "ta*(tb + u1)", "ta/(u1 + 1)"], ids=["square", "product", "mixed", "denominator"]
 )
 def test_linear_terms_reject_nonlinear_input(text):
-    e = parse(text, functions=_LINEAR_FUNCS)
     with pytest.raises(UnsupportedExpressionError):
-        ex.linear_terms(e, _LINEAR_FUNCS, _LINEAR_PARAMS)
+        ex.linear_terms(parse(text), params=_LINEAR_PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +575,7 @@ def test_stored_coefficients_are_normalized(a, b, r, i):
         results.append(b / a)
     for e in results:
         _assert_normalized(e)
-    for _u, coeff, rest in ex.linear_terms(b, _LINEAR_FUNCS, _LINEAR_PARAMS, split_constants=True):
+    for _u, coeff, rest in ex.linear_terms(b, params=_LINEAR_PARAMS):
         _assert_normalized(coeff)
         _assert_normalized(rest)
 

@@ -12,6 +12,7 @@ from symlab.expr import is_zero, parse
 from symlab.geometry import (
     Coframe,
     DegenerateFrameError,
+    Metric,
     NonClosingFrameError,
     StructureConstants,
     VectorField,
@@ -272,6 +273,19 @@ class TestMetric:
         # determinant carries exp(4 u3), so d(chi)/du3 = 2 at u3 = 0
         assert abs(sample.chi_grad[3] - 2.0) < 1e-12
         assert abs(sample.chi_grad[0]) < 1e-12
+
+    def test_zero_time_entry_gives_zero_determinant(self, models, monkeypatch):
+        entries = [list(row) for row in models["IX"].metric.entries]
+        entries[0][0] = ex.number(0)
+        coupled = [list(row) for row in entries]
+        coupled[0][1] = coupled[1][0] = ex.coord(1)
+        assert not is_zero(Metric(coupled, ex.number(0)).determinant())
+
+        def no_det3(_m):
+            raise AssertionError("built the spatial determinant of a zero product")
+
+        monkeypatch.setattr(geometry, "_det3", no_det3)
+        assert Metric(entries, ex.number(0)).determinant() == ex.ZERO
 
     def test_inverse_and_chi_at_random_points(self, models, rng):
         for m in models.values():

@@ -166,6 +166,55 @@ class TestApplyAlgebraicConstraints:
         for tag, fam in reduced_families.items():
             assert fam.system.satisfied_by(fam.as_field_tensor()), tag
 
+    def test_undetermined_constant_rejected(self, families):
+        # ta * d(f1 du1) is closed and admissible for every ta
+        fam = dataclasses.replace(
+            families["I"],
+            components={(0, 1): ex.param("ta") * ex.func("f1", 1)},
+            free_constants=("ta",),
+        )
+        with pytest.raises(SolverError, match="do not determine the constants"):
+            apply_algebraic_constraints(fam)
+
+    def test_violation_left_after_elimination_rejected(self, families):
+        # F12 = 1 + ta forces ta = 0, and F12 = 1 still violates the constraints
+        fam = dataclasses.replace(
+            families["I"],
+            components={(1, 2): 1 + ex.param("ta")},
+            free_constants=("ta",),
+        )
+        with pytest.raises(SolverError, match="remain violated after elimination"):
+            apply_algebraic_constraints(fam)
+
+    @pytest.mark.parametrize("tag", ["I", "II", "III"])
+    def test_reconstruction_is_linear_in_the_constants(self, families, tag):
+        # the one-pass elimination substitutes the zeros after reconstruction
+        fam = families[tag]
+        A = reconstruct_potential(fam.as_field_tensor())
+        for zeros in [{t: 0} for t in fam.free_constants] + [dict.fromkeys(fam.free_constants, 0)]:
+            reduced = FieldTensor.from_upper(fam.substitute(consts=zeros))
+            want = reconstruct_potential(reduced)
+            assert [ex.substitute(c, params=zeros) for c in A] == list(want), zeros
+
+    @pytest.mark.parametrize("tag", ["II", "IX"])
+    def test_one_reconstruction_and_one_residual(self, monkeypatch, tag):
+        fam = solve_solvable(tag)
+        calls = []
+
+        def counted(name):
+            inner = getattr(solver, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return inner(*args)
+
+            return wrapper
+
+        for name in ("reconstruct_potential", "algebraic_constraint_residual"):
+            monkeypatch.setattr(solver, name, counted(name))
+        apply_algebraic_constraints(fam)
+        assert sorted(calls) == ["algebraic_constraint_residual", "reconstruct_potential"]
+
 
 class TestCatalogReproduction:
     def test_witness_reproduces_catalog(self, models, reduced_families):
