@@ -10,6 +10,7 @@ scalar coefficients.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,8 +32,12 @@ from .expr import (
     cp_rational,
     cp_scale,
     cp_from_rat,
+    coord,
+    cos,
+    exp,
     lf_is_zero,
     number,
+    sin,
     substitute,
 )
 
@@ -83,8 +88,6 @@ def cp_sqrt(cp) -> Optional[tuple]:
 
 
 def _isqrt_exact(n: int) -> Optional[int]:
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 
@@ -263,11 +266,9 @@ def fundamental_matrix(N: Sequence[Sequence[Expr]], i: int) -> list:
     n = len(N)
     cp = [[expr_to_cp(N[r][c]) for c in range(n)] for r in range(n)]
     blocks = _scc_blocks(cp)
-    t = _coord_expr(i)
     zero, one = number(0), number(1)
     cols = []
     for a in range(n):
-        y = [zero] * n
         solved = {}
         for block in blocks:
             rhs = []
@@ -281,68 +282,38 @@ def fundamental_matrix(N: Sequence[Sequence[Expr]], i: int) -> list:
             sol = _solve_block([[cp[r][c] for c in block] for r in block], rhs, init, i)
             for r, val in zip(block, sol):
                 solved[r] = val
-        for r in range(n):
-            y[r] = solved[r]
-        cols.append(y)
+        cols.append([solved[r] for r in range(n)])
     return [[cols[a][r] for a in range(n)] for r in range(n)]  # E[r][a]
 
 
-def _coord_expr(i):
-    from .expr import coord
-
-    return coord(i)
-
-
 def _scc_blocks(cp):
-    """Dependency-ordered strongly connected components of the system."""
+    """Strongly connected components of the system, dependencies first.
+
+    Row r depends on column c when cp[r][c] is nonzero.  A row's reach (the
+    rows it depends on, transitively, and itself) strictly contains the
+    reach of every row it depends on outside its own component, so sorting
+    the components by reach size puts dependencies first.
+    """
     n = len(cp)
-    adj = {r: [c for c in range(n) if c != r and cp[r][c]] for r in range(n)}
-    index = {}
-    low = {}
-    stack, onstack = [], set()
-    sccs = []
-    counter = [0]
-
-    def strongconnect(v):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        onstack.add(v)
-        for w in adj[v]:
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in onstack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                onstack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            sccs.append(sorted(comp))
-
-    for v in range(n):
-        if v not in index:
-            strongconnect(v)
-    # Tarjan emits components in reverse topological order of the condensation
-    # along edges r -> c (r depends on c), so the emitted order already has
-    # dependencies first.
-    return sccs
+    reach = [{r} | {c for c in range(n) if cp[r][c]} for r in range(n)]
+    for k in range(n):
+        for r in range(n):
+            if k in reach[r]:
+                reach[r] |= reach[k]
+    blocks = {}
+    for r in sorted(range(n), key=lambda r: len(reach[r])):
+        blocks.setdefault(tuple(c for c in sorted(reach[r]) if r in reach[c]), None)
+    return [list(block) for block in blocks]
 
 
 def _solve_block(A, rhs, init, i):
     """Solve y' = A y + rhs(t), y(0) = init, for a 1x1 or 2x2 exact block."""
-    from .expr import exp as expr_exp
-
-    t = _coord_expr(i)
+    t = coord(i)
     if len(A) == 1:
         a_cp = A[0][0]
         a_expr = cp_to_expr(a_cp)
-        growth = expr_exp(a_expr * t) if a_cp else number(1)
-        decay = expr_exp(-a_expr * t) if a_cp else number(1)
+        growth = exp(a_expr * t) if a_cp else number(1)
+        decay = exp(-a_expr * t) if a_cp else number(1)
         particular = number(0)
         if rhs[0]:
             particular = definite_integral(decay * rhs[0], i, t)
@@ -364,11 +335,7 @@ def _solve_block(A, rhs, init, i):
 
 def _block_exponentials(A, i):
     """exp(t A) and exp(-t A) for an exact 2x2 block."""
-    from .expr import cos as expr_cos
-    from .expr import exp as expr_exp
-    from .expr import sin as expr_sin
-
-    t = _coord_expr(i)
+    t = coord(i)
     tr = cp_add(A[0][0], A[1][1])
     det = cp_add(cp_mul(A[0][0], A[1][1]), cp_neg(cp_mul(A[0][1], A[1][0])))
     mu = cp_scale(tr, Fraction(1, 2))
@@ -382,7 +349,7 @@ def _block_exponentials(A, i):
 
     def build(sign):
         tt = t if sign > 0 else -t
-        scale = expr_exp(mu_e * tt) if mu else number(1)
+        scale = exp(mu_e * tt) if mu else number(1)
         if not disc:
             # double root: exp = e^{mu t} (I + t B)
             c0, c1 = number(1), tt
@@ -392,8 +359,8 @@ def _block_exponentials(A, i):
             if root is not None:
                 w = cp_to_expr(root)
                 # real pair mu +- w: cosh/sinh written with exponentials
-                ep = expr_exp(w * tt)
-                em = expr_exp(-(w * tt))
+                ep = exp(w * tt)
+                em = exp(-(w * tt))
                 half = Fraction(1, 2)
                 c0 = (ep + em) * half
                 c1 = (ep - em) * half / w
@@ -404,8 +371,8 @@ def _block_exponentials(A, i):
                         "block eigenvalues are not exactly representable"
                     )
                 w = cp_to_expr(root)
-                c0 = expr_cos(w * tt)
-                c1 = expr_sin(w * tt) / w
+                c0 = cos(w * tt)
+                c1 = sin(w * tt) / w
         return [
             [scale * (c0 + c1 * B[0][0]), scale * c1 * B[0][1]],
             [scale * c1 * B[1][0], scale * (c0 + c1 * B[1][1])],

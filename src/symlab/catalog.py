@@ -78,7 +78,7 @@ class BianchiModel:
     params: Dict[str, object]
     frame: Tuple[VectorField, VectorField, VectorField]
     constants: StructureConstants
-    coframe: Coframe
+    coframe: Optional[Coframe]  # None for a manifest that gives the metric entrywise
     metric: Metric
     potential: Potential
     field: FieldTensor
@@ -482,8 +482,9 @@ _CACHE: Dict[Tuple[str, Fraction], BianchiModel] = {}
 
 
 def build_model(
-    type_tag: str, params: Dict[str, object], frame: Tuple[VectorField, ...], coframe: Coframe,
-    metric: Metric, potential: Potential, errata: Tuple[ErrataNote, ...] = (),
+    type_tag: str, params: Dict[str, object], frame: Tuple[VectorField, ...],
+    coframe: Optional[Coframe], metric: Metric, potential: Potential,
+    errata: Tuple[ErrataNote, ...] = (),
 ) -> BianchiModel:
     """Model from a generator frame, an invariant metric and a potential.
 

@@ -280,7 +280,7 @@ def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> 
 _MANIFEST_HEADER = "# symlab manifest 1"
 
 
-def export_manifest(model: BianchiModel, bindings: Optional[Dict[str, Expr]] = None) -> str:
+def export_manifest(model: BianchiModel) -> str:
     lines = [_MANIFEST_HEADER, "", "[model]", f"name = {model.type_tag}", "", "[params]"]
     for k, v in model.params.items():
         lines.append(f"{k} = {v}")
@@ -295,10 +295,6 @@ def export_manifest(model: BianchiModel, bindings: Optional[Dict[str, Expr]] = N
     lines += ["", "[potential]"]
     for i in range(4):
         lines.append(f"A{i} = {model.potential[i]}")
-    if bindings:
-        lines += ["", "[bindings]"]
-        for k, v in bindings.items():
-            lines.append(f"{k} = {v}")
     return "\n".join(lines) + "\n"
 
 
@@ -350,7 +346,8 @@ def load_manifest(path: str) -> Tuple[BianchiModel, Dict[str, Expr]]:
 
     Returns the model together with any [bindings] section entries (used by
     the simulate command).  Structure constants are always derived from the
-    declared frame; a frame that does not close is a load error.
+    declared frame; a frame that does not close is a load error.  A manifest
+    that gives the metric entrywise in [metric] carries no coframe.
     """
     sections = _read_sections(path)
     for required in ("model", "frame", "potential"):
@@ -374,11 +371,7 @@ def load_manifest(path: str) -> Tuple[BianchiModel, Dict[str, Expr]]:
                     (g[i][j],) = _components(sections, "metric", f"g{i}{j}", 1, parameters)
                     g[j][i] = g[i][j]
         metric = Metric(g, g[0][0])
-        try:
-            coframe = geometry.invariant_coframe(frame)
-        except geometry.GeometryError:
-            unit = ((ex.number(int(i == a)) for i in range(3)) for a in range(3))
-            coframe = Coframe(tuple(tuple(form) for form in unit))
+        coframe = None
     else:
         raise ManifestError("need a [coframe] or [metric] section")
     comps = [_components(sections, "potential", f"A{i}", 1, parameters)[0] for i in range(4)]

@@ -258,17 +258,16 @@ class ModelInstance:
         return np.array(self.invariants(y)[1:])
 
 
-def standard_instance(model: BianchiModel, bindings: Optional[Mapping[str, Expr]] = None,
-                      params: Optional[Mapping[str, float]] = None) -> ModelInstance:
-    """Instance with the deterministic standard bindings (overridable)."""
+def standard_instance(model: BianchiModel,
+                      bindings: Optional[Mapping[str, Expr]] = None) -> ModelInstance:
+    """Instance with the deterministic standard bindings (overridable), e = 1
+    and, for type VII, alpha = pi/3."""
     b = standard_bindings()
     if bindings:
         b.update(bindings)
     pr = {"e": 1.0}
     if model.type_tag == "VII":
         pr["alpha"] = math.pi / 3.0
-    if params:
-        pr.update(params)
     return ModelInstance(model, b, pr)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr, Assignment, differentiate, evaluate, free_symbols, is_zero
-from .geometry import Metric, StructureConstants, VectorField, _lie_derivative_2tensor
+from .geometry import Metric, StructureConstants, VectorField, _lie_derivative
 
 __all__ = [
     "Potential",
@@ -158,7 +158,7 @@ def admissibility_residual(A: Potential, F: FieldTensor, X: VectorField):
 
 def compatibility_residual(F: FieldTensor, X: VectorField):
     """(L_X F)_ij: the Lie derivative of the field tensor along X."""
-    return _lie_derivative_2tensor(F, X, -1)
+    return _lie_derivative(F.entries, X)
 
 
 def gamma_of(X: VectorField, A: Potential) -> Expr:

@@ -1081,8 +1081,9 @@ def is_zero(e: Expr) -> bool:
         tries += 1
         a = random_assignment([e], rng)
         try:
-            scale = math.fsum(abs(_mono_eval(m, a)) for m in e.num) + 1.0
-            value = _sum_eval(e.num, a)
+            terms = [_mono_eval(m, a) for m in e.num]
+            scale = math.fsum(map(abs, terms)) + 1.0
+            value = math.fsum(terms)
             if e.den != SUM_ONE:
                 den = _sum_eval(e.den, a)
                 if abs(den) < 1e-6:

@@ -151,12 +151,13 @@ def _det3(m):
 
 
 def _det4(g):
+    """Expansion along the first row; a zero entry contributes no minor."""
     total = ex.number(0)
-    rows = [1, 2, 3]
     for j in range(4):
-        minor = [[g[r][c] for c in range(4) if c != j] for r in rows]
-        term = g[0][j] * _det3(minor)
-        total = total + term if j % 2 == 0 else total - term
+        if g[0][j]:
+            minor = [[g[r][c] for c in range(4) if c != j] for r in (1, 2, 3)]
+            term = g[0][j] * _det3(minor)
+            total = total + term if j % 2 == 0 else total - term
     return total
 
 
@@ -319,22 +320,42 @@ class Coframe:
         return [[self.forms[a][i] for i in range(3)] for a in range(3)]
 
 
-def lie_derivative_oneform(X: VectorField, form: Sequence[Expr]) -> Tuple[Expr, ...]:
-    """(L_X s)_g for a u0-independent spatial one-form."""
-    out = []
-    for g in range(1, 4):
+def _lie_derivative(T, X: VectorField):
+    """Covariant Lie derivative along X of a covector (four entries) or of a
+    2-tensor (4x4 rows) with T_ji = +-T_ij, which the result shares:
+
+        (L_X T)_I = X^k d_k T_I + sum over slots s of T_(I, k in slot s) d_(I_s) X^k
+    """
+    dX = [[differentiate(X[k], i) for i in range(4)] for k in range(4)]
+
+    def entry(I):
+        return T[I[0]] if len(I) == 1 else T[I[0]][I[1]]
+
+    def component(I):
         acc = ex.number(0)
-        for b in range(1, 4):
-            acc = acc + X[b] * differentiate(form[g - 1], b)
-            acc = acc + form[b - 1] * differentiate(X[b], g)
-        out.append(acc)
-    return tuple(out)
+        for k in range(4):
+            if X[k]:
+                acc = acc + X[k] * differentiate(entry(I), k)
+            for s, i in enumerate(I):
+                acc = acc + entry(I[:s] + (k,) + I[s + 1:]) * dX[k][i]
+        return acc
+
+    if isinstance(T[0], Expr):
+        return tuple(component((i,)) for i in range(4))
+    symmetric = all(T[i][j] == T[j][i] for i in range(4) for j in range(i))
+    res = [[ex.number(0)] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i if symmetric else i + 1, 4):
+            res[i][j] = component((i, j))
+            res[j][i] = res[i][j] if symmetric else -res[i][j]
+    return tuple(tuple(row) for row in res)
 
 
 def coframe_is_invariant(cf: Coframe, fields: Sequence[VectorField]) -> bool:
+    """L_X s = 0 on du1..du3 for every form s and generator X."""
     for X in fields:
         for form in cf.forms:
-            if any(not is_zero(c) for c in lie_derivative_oneform(X, form)):
+            if any(not is_zero(c) for c in _lie_derivative((ex.number(0),) + form, X)[1:]):
                 return False
     return True
 
@@ -460,14 +481,7 @@ class Metric:
 
     def determinant(self) -> Expr:
         if self._det is None:
-            g = self.entries
-            if any(g[0][a] for a in range(1, 4)):
-                self._det = _det4(g)
-            elif not g[0][0]:
-                self._det = g[0][0]
-            else:
-                spatial = [[g[i][j] for j in range(1, 4)] for i in range(1, 4)]
-                self._det = g[0][0] * _det3(spatial)
+            self._det = _det4(self.entries)
         return self._det
 
     def determinant_gradient(self) -> Tuple[Expr, ...]:
@@ -501,27 +515,9 @@ def metric_from_coframe(cf: Coframe) -> Metric:
     return Metric(entries, sign)
 
 
-def _lie_derivative_2tensor(T, X: VectorField, sign: int):
-    """(L_X T)_ij = X^k d_k T_ij + T_kj d_i X^k + T_ik d_j X^k as a 4x4 array,
-    for a covariant 2-tensor with T_ji = sign * T_ij: symmetric for +1,
-    antisymmetric (zero diagonal) for -1."""
-    res = [[ex.number(0)] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i if sign > 0 else i + 1, 4):
-            acc = ex.number(0)
-            for k in range(4):
-                if X[k]:
-                    acc = acc + X[k] * differentiate(T[i, j], k)
-                acc = acc + T[k, j] * differentiate(X[k], i)
-                acc = acc + T[i, k] * differentiate(X[k], j)
-            res[i][j] = acc
-            res[j][i] = acc if sign > 0 else -acc
-    return tuple(tuple(row) for row in res)
-
-
 def killing_residual(g: Metric, X: VectorField):
     """(L_X g)_ij as a symmetric 4x4 array of canonical expressions."""
-    return _lie_derivative_2tensor(g, X, 1)
+    return _lie_derivative(g.entries, X)
 
 
 def killing_satisfied(g: Metric, X: VectorField) -> bool:

@@ -460,6 +460,45 @@ class TestBuildModel:
         assert rebuilt == m
 
 
+# a frame whose invariant coframe has no exactly representable form, with a
+# diagonal metric that is not invariant under it
+_DIAGONAL_METRIC_MANIFEST = """[model]
+name = custom
+[frame]
+xi1 = 0, 1, 0, 0
+xi2 = 0, 0, 1, 0
+xi3 = 0, u2, u1 + u2, -1
+[metric]
+g00 = e
+g11 = a11
+g22 = a22
+g33 = a33
+[potential]
+A0 = 0
+A1 = 0
+A2 = 0
+A3 = 0
+"""
+
+
+class TestMetricManifest:
+    def test_metric_manifest_carries_no_coframe(self, tmp_path):
+        path = tmp_path / "diagonal.manifest"
+        path.write_text(_DIAGONAL_METRIC_MANIFEST)
+        model, _ = load_manifest(str(path))
+        assert model.coframe is None
+
+    def test_verify_prints_a_report(self, tmp_path, capsys):
+        path = tmp_path / "diagonal.manifest"
+        path.write_text(_DIAGONAL_METRIC_MANIFEST)
+        cli.main(["verify", "--manifest", str(path)])
+        captured = capsys.readouterr()
+        assert captured.out.startswith("model custom")
+        assert "[FAIL] killing equations, generator 3 (symbolic)" in captured.out
+        assert "result: FAIL" in captured.out
+        assert captured.err == ""
+
+
 # a metric whose g11 overflows a double on part of the sampled range, and one
 # with g11 missing, which is singular everywhere
 _OVERFLOW_METRIC_MANIFEST = """[model]
@@ -584,8 +623,9 @@ def test_load_manifest_fuzz_raises_only_manifest_error(exported_manifests, tmp_p
 
 
 # sha256 of the exact symbolic outputs, `solve`/`errata --group G --format
-# json` stdout; the same under PYTHONHASHSEED 1, 2 and 3.  Float residuals
-# (`verify`) are left out: they may differ across numpy builds.
+# json` and `export --group G` stdout; the same under PYTHONHASHSEED 1, 2 and
+# 3.  Float residuals (`verify`) are left out: they may differ across numpy
+# builds.
 _OUTPUT_SHA256 = {
     ("solve", "I"): "1c0b1bd8b98fc4794cfca5b3ed80483aea46e4a8988a04badcf931e0fb8b9e21",
     ("solve", "II"): "cbe12e92b3aeac94d25ed95a3b2af35fed50bcc19c9fa248bc5c19cc0f055230",
@@ -605,12 +645,22 @@ _OUTPUT_SHA256 = {
     ("errata", "VII"): "38c0abd08e2f77e774ca6c25dda423c2095f3390a5d25019ca162d095f69d950",
     ("errata", "VIII"): "3231c9af8f6e90bfa03f2a7170853b7b74dd0212c200a929cad91d2749d05950",
     ("errata", "IX"): "8849d3f7f1d3ee06eb07f8f7a137333ce46dd020a3ea84617cf26756da804edf",
+    ("export", "I"): "d60d5fd2d2b17a0a646ed1c8c1aaec0f89d14b8caec3abedf1fd731c59c8b442",
+    ("export", "II"): "e81e17d87a3f88aab1c28e473cc7cae1aaef6b715f92e1eced0aab4086eae97f",
+    ("export", "III"): "b5235f3a6e5a672e24f3333a46f0367e7fe907fa864890106f07b37b8a8da8fb",
+    ("export", "IV"): "0d59aa671c2b11a1987ec56d7b5e940c9cfb1c34e913ec3650d287ccc14db3d2",
+    ("export", "V"): "49fba29aa3b70d6b6b56661ebd7e50b4374345b44c9848cc8d8b755d2a3540cf",
+    ("export", "VI"): "7654a07183d017b214f4ad2f4a6a4d7e79c82f01563b56a9dff5c2e806e49e3e",
+    ("export", "VII"): "78831d23d4261bfc6ad42442d23e24609ed4d6de3421d5eb955593f4522d10ef",
+    ("export", "VIII"): "7389a9f761e85d6cd561bd21832a1c8c709de1ab96fc866815245f3fb4eee9ed",
+    ("export", "IX"): "9f927b4b1af8775c8381317ba908582e3240517d717402890431859785f54fed",
 }
 
 
 @pytest.mark.parametrize("command,group", list(_OUTPUT_SHA256), ids=lambda v: v)
 def test_exact_output_is_pinned(capsys, command, group):
-    assert cli.main([command, "--group", group, "--format", "json"]) == 0
+    fmt = [] if command == "export" else ["--format", "json"]
+    assert cli.main([command, "--group", group, *fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _OUTPUT_SHA256[(command, group)]
 

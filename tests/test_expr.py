@@ -228,6 +228,28 @@ class TestIsZero:
         assert is_zero(e)
         assert len(draws) == 8
 
+    @pytest.mark.parametrize(
+        "text", ["sin(2*u1)/sin(u1) - 2*cos(u1)", "u1 + u2*exp(u3) + 1"], ids=["zero", "nonzero"]
+    )
+    def test_each_monomial_is_evaluated_once_per_sample(self, monkeypatch, text):
+        draws, evals = [], []
+        draw, mono_eval = ex.random_assignment, ex._mono_eval
+
+        def counted_draw(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+
+        def counted_eval(*args, **kwargs):
+            evals.append(args)
+            return mono_eval(*args, **kwargs)
+
+        e = parse(text)
+        monkeypatch.setattr(ex, "random_assignment", counted_draw)
+        monkeypatch.setattr(ex, "_mono_eval", counted_eval)
+        is_zero(e)
+        per_sample = len(e.num) + (len(e.den) if e.den != ex.SUM_ONE else 0)
+        assert draws and len(evals) == len(draws) * per_sample
+
 
 class TestEvaluate:
     def test_exp_zero(self):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symlab import catalog, expr as ex, geometry
+from symlab import _symint, catalog, expr as ex, geometry
 from symlab.expr import is_zero, parse
 from symlab.geometry import (
     Coframe,
@@ -234,6 +234,9 @@ class TestCoframe:
         for m in models.values():
             assert coframe_is_invariant(m.coframe, m.frame), m.type_tag
 
+    def test_unit_coframe_is_not_invariant_under_a_rotation_frame(self, models):
+        assert not coframe_is_invariant(models["I"].coframe, models["VIII"].frame)
+
     def test_degenerate_frame_rejected(self):
         f3 = VectorField.spatial(parse("u1"), 0, 0)
         with pytest.raises(geometry.GeometryError):
@@ -287,6 +290,18 @@ class TestMetric:
         monkeypatch.setattr(geometry, "_det3", no_det3)
         assert Metric(entries, ex.number(0)).determinant() == ex.ZERO
 
+    def test_determinant_matches_the_three_branch_formula(self, models):
+        cases = []
+        for m in models.values():
+            entries = [list(row) for row in m.metric.entries]
+            cases.append(entries)
+            cases.append([[ex.number(0)] + row[1:] if i == 0 else row for i, row in enumerate(entries)])
+        coupled = [list(row) for row in models["V"].metric.entries]
+        coupled[0][1] = coupled[1][0] = ex.coord(2)
+        cases.append(coupled)
+        for entries in cases:
+            assert Metric(entries, entries[0][0]).determinant() == _three_branch_determinant(entries)
+
     def test_inverse_and_chi_at_random_points(self, models, rng):
         for m in models.values():
             dets = m.metric.determinant()
@@ -306,3 +321,36 @@ class TestMetric:
                     - math.log(abs(ex.evaluate(dets, ex.Assignment(dn, a.params, a.funcs))))
                 ) / (2 * h)
                 assert abs(0.5 * dv - sample.chi_grad[i]) < 1e-6, (m.type_tag, i)
+
+
+def _three_branch_determinant(g):
+    """Reference: the full first-row expansion when some g0a is nonzero, g00
+    itself when it is zero, and otherwise g00 times the spatial determinant."""
+    if any(g[0][a] for a in range(1, 4)):
+        total = ex.number(0)
+        for j in range(4):
+            minor = [[g[r][c] for c in range(4) if c != j] for r in (1, 2, 3)]
+            term = g[0][j] * geometry._det3(minor)
+            total = total + term if j % 2 == 0 else total - term
+        return total
+    if not g[0][0]:
+        return g[0][0]
+    return g[0][0] * geometry._det3([[g[i][j] for j in range(1, 4)] for i in range(1, 4)])
+
+
+@pytest.mark.parametrize(
+    "cp,components",
+    [
+        ([[1, 1, 0], [0, 0, 1], [0, 0, 1]], [[2], [1], [0]]),  # chain 0 -> 1 -> 2
+        ([[0, 1, 0], [1, 0, 0], [1, 0, 1]], [[0, 1], [2]]),  # 2-cycle and a dependent
+        ([[1, 0, 1], [0, 1, 0], [0, 0, 0]], [[1], [2], [0]]),  # 0 -> 2; 1 on its own
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[0], [1], [2]]),  # independent blocks
+    ],
+    ids=["chain", "cycle-with-dependent", "dependent-and-single", "independent"],
+)
+def test_scc_blocks_put_dependencies_first(cp, components):
+    blocks = _symint._scc_blocks(cp)
+    assert sorted(blocks) == sorted(components)
+    position = {r: k for k, block in enumerate(blocks) for r in block}
+    n = len(cp)
+    assert all(position[c] <= position[r] for r in range(n) for c in range(n) if cp[r][c])
