@@ -10,9 +10,12 @@ reproducible evidence check rather than silently transcribed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from . import expr as ex
 from .expr import Expr, FuncSymbol, InputError, free_symbols, is_zero, differentiate, parse
@@ -23,6 +26,8 @@ from .geometry import (
     VectorField,
     invariant_coframe,
     jacobi_satisfied,
+    killing_residual,
+    killing_satisfied,
     lie_bracket,
     metric_from_coframe,
     structure_constants_from_frame,
@@ -31,6 +36,7 @@ from .emfield import (
     FieldTensor,
     Potential,
     SymmetryIntegral,
+    admissibility_residual,
     field_from_potential,
     gamma_of,
 )
@@ -82,8 +88,12 @@ class BianchiModel:
     metric: Metric
     potential: Potential
     field: FieldTensor
-    integrals: Tuple[SymmetryIntegral, SymmetryIntegral, SymmetryIntegral]
     errata: Tuple[ErrataNote, ...]
+
+    @property
+    def integrals(self) -> Tuple[SymmetryIntegral, ...]:
+        """One integral per generator xi_a, with gamma_a = -xi_a . A."""
+        return tuple(SymmetryIntegral(X, gamma_of(X, self.potential)) for X in self.frame)
 
     @property
     def solvable(self) -> bool:
@@ -368,8 +378,6 @@ def _degenerate_reading_det(tag: str) -> Expr:
 
 
 def _check_spurious_u3(tag: str) -> bool:
-    from .geometry import killing_satisfied, killing_residual
-
     m = get_model(tag)
     u3 = ex.coord(3)
     entries = [list(row) for row in m.metric.entries]
@@ -451,8 +459,6 @@ def _check_viii_constants() -> bool:
 
 
 def _check_ix_potential() -> bool:
-    from .emfield import admissibility_residual
-
     model = get_model("IX")
     printed = Potential.make(
         0,
@@ -488,10 +494,9 @@ def build_model(
 ) -> BianchiModel:
     """Model from a generator frame, an invariant metric and a potential.
 
-    The structure constants are derived from the frame, the field is
-    F = dA, and each generator xi_a gets the integral with
-    gamma_a = -xi_a . A.  Raises ``GeometryError`` when the frame does not
-    define an algebra.
+    The structure constants are derived from the frame and the field is
+    F = dA; the integrals follow the potential (``BianchiModel.integrals``).
+    Raises ``GeometryError`` when the frame does not define an algebra.
     """
     return BianchiModel(
         type_tag=type_tag,
@@ -502,7 +507,6 @@ def build_model(
         metric=metric,
         potential=potential,
         field=field_from_potential(potential),
-        integrals=tuple(SymmetryIntegral(xi=X, gamma=gamma_of(X, potential)) for X in frame),
         errata=errata,
     )
 
@@ -588,7 +592,7 @@ def random_model_assignment(
 
     while True:
         coords = [rng.uniform(-1.0, 1.0) for _ in range(4)]
-        if model.type_tag != "IX" or abs(__import__("math").sin(coords[1])) >= 0.1:
+        if model.type_tag != "IX" or abs(math.sin(coords[1])) >= 0.1:
             break
 
     params_out: Dict[str, float] = {}
@@ -619,8 +623,6 @@ def _nonzero_uniform(rng):
 
 
 def _random_spatial_matrix(rng):
-    import numpy as np
-
     while True:
         vals = {name: rng.uniform(-2.0, 2.0) for name in _A_NAMES}
         m = np.array(

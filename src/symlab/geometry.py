@@ -8,6 +8,7 @@ abstract coefficient functions of ``u0``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -224,8 +225,6 @@ def structure_constants_from_frame(fields: Sequence[VectorField]) -> StructureCo
 def _pointwise_rank(mat) -> int:
     """Symbolic rank of the 3x3 component matrix (largest nonzero minor)."""
     for size in (3, 2, 1):
-        import itertools
-
         for rows in itertools.combinations(range(3), size):
             for cols in itertools.combinations(range(3), size):
                 if size == 3:

@@ -85,7 +85,11 @@ class FieldSystem:
 
 
 def build_field_system(C: StructureConstants, frame: Sequence[VectorField]) -> FieldSystem:
-    """The closure and invariance equations of a frame with constants C."""
+    """The closure and invariance equations of a frame with constants C.
+
+    Kept for the public API and its tests: ``solve_solvable`` builds its
+    system from a catalog model, whose constants already come from the frame.
+    """
     frame = tuple(frame)
     derived = structure_constants_from_frame(frame)
     if derived != C:

@@ -1,12 +1,13 @@
 """Catalog construction, the parameter table, and the errata ledger."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from symlab import catalog, expr as ex
 from symlab.catalog import get_model, list_models, printed_vs_consistent
-from symlab.emfield import field_from_potential, gamma_of
+from symlab.emfield import Potential, field_from_potential, gamma_of
 from symlab.expr import is_zero, parse
 from symlab.geometry import jacobi_satisfied, killing_satisfied
 
@@ -88,6 +89,15 @@ class TestGetModel:
             for a, integral in enumerate(m.integrals):
                 assert integral.xi == m.frame[a]
                 assert is_zero(integral.gamma - gamma_of(m.frame[a], m.potential))
+
+    def test_integrals_follow_a_replaced_potential(self, models):
+        # criterion 7's perturbed IX: every gamma changes with A2 + u1
+        m = models["IX"]
+        pert = Potential.make(0, m.potential[1], m.potential[2] + ex.coord(1), m.potential[3])
+        pm = dataclasses.replace(m, potential=pert, field=field_from_potential(pert))
+        for a, integral in enumerate(pm.integrals):
+            assert is_zero(integral.gamma - gamma_of(m.frame[a], pert)), a
+            assert not is_zero(integral.gamma - m.integrals[a].gamma), a
 
     def test_no_leftover_free_constants(self, models):
         # the eliminated integration constants never appear in the catalog

@@ -21,18 +21,66 @@ from symlab.cli import (
     load_manifest,
     run_verification,
 )
-from symlab.emfield import KgfChecker, Potential
+from symlab.emfield import KgfChecker, Potential, field_from_potential
+from symlab.geometry import Metric, StructureConstants
+
+
+CHECK_NAMES = [
+    "jacobi identity",
+    "killing equations, generator 1",
+    "killing equations, generator 2",
+    "killing equations, generator 3",
+    "admissibility, generator 1",
+    "admissibility, generator 2",
+    "admissibility, generator 3",
+    "algebraic constraints",
+    "field invariance, generator 1",
+    "field invariance, generator 2",
+    "field invariance, generator 3",
+    "second-order scalar conditions",
+]
+
+
+def _g11_plus_u2(m):
+    entries = [list(row) for row in m.metric.entries]
+    entries[1][1] = entries[1][1] + ex.coord(2)
+    return dataclasses.replace(m, metric=Metric(entries, m.metric.sign))
+
+
+def _a2_plus_u1_squared(m):
+    pert = Potential.make(0, m.potential[1], m.potential[2] + ex.coord(1) ** 2, m.potential[3])
+    return dataclasses.replace(m, potential=pert, field=field_from_potential(pert))
+
+
+def _printed_viii_constants(m):
+    # the sign the paper prints for C_23, which fails the Jacobi identity
+    z, one = ex.number(0), ex.number(1)
+    printed = StructureConstants(
+        [
+            [[z] * 3, [one, z, z], [z, ex.number(2), z]],
+            [[-one, z, z], [z] * 3, [z, z, -one]],
+            [[z, ex.number(-2), z], [z, z, one], [z] * 3],
+        ]
+    )
+    return dataclasses.replace(m, constants=printed)
+
+
+# (model, mutation, the checks it fails); together the rows fail every check
+_FAILING_INPUTS = [
+    ("IX", _g11_plus_u2, CHECK_NAMES[1:4] + ["second-order scalar conditions"]),
+    ("II", _a2_plus_u1_squared, [CHECK_NAMES[i] for i in (4, 6, 7, 8, 10, 11)]),
+    ("IX", _a2_plus_u1_squared, [CHECK_NAMES[i] for i in (5, 6, 7, 9, 10, 11)]),
+    ("VIII", _printed_viii_constants, ["jacobi identity", "algebraic constraints"]),
+]
 
 
 class TestRunVerification:
     def test_builtin_passes(self, models):
-        rep = run_verification(models["V"], samples=10, seed=1)
-        assert rep.passed
-        names = [c.name for c in rep.checks]
-        assert "frame closure" in names
-        assert "jacobi identity" in names
-        assert any("admissibility" in n for n in names)
-        assert "second-order scalar conditions" in names
+        for tag, m in models.items():
+            rep = run_verification(m, samples=5, seed=1)
+            assert rep.passed, tag
+            assert [c.name for c in rep.checks] == CHECK_NAMES, tag
+            assert rep.checks[0].detail == str(m.constants), tag
 
     def test_errata_reported_but_passing(self, models):
         rep = run_verification(models["VIII"], samples=5, seed=1)
@@ -41,11 +89,22 @@ class TestRunVerification:
         assert any("structure-constant" in e["location"] for e in rep.errata)
 
     def test_check_order_is_stable(self, models):
-        rep = run_verification(models["II"], samples=5, seed=0)
-        names = [c.name for c in rep.checks]
-        assert names.index("frame closure") == 0
-        assert names.index("jacobi identity") == 1
-        assert names.index("integral correction reduction") == len(names) - 1
+        for tag, m in models.items():
+            rep = run_verification(m, samples=1, seed=0)
+            assert [c.name for c in rep.checks] == CHECK_NAMES, tag
+
+    @pytest.mark.parametrize(
+        "tag, mutate, failing", _FAILING_INPUTS, ids=[f"{t}-{f.__name__}" for t, f, _ in _FAILING_INPUTS]
+    )
+    def test_mutation_fails_its_checks(self, models, tag, mutate, failing):
+        rep = run_verification(mutate(models[tag]), samples=3, seed=0)
+        assert [c.name for c in rep.checks if c.verdict == "fail"] == failing
+
+    def test_every_check_can_fail(self, models):
+        # a check that no input fails would pass by construction
+        names = [c.name for c in run_verification(models["I"], samples=1).checks]
+        failed = {name for _tag, _mutate, failing in _FAILING_INPUTS for name in failing}
+        assert [n for n in names if n not in failed] == []
 
 
 class TestReports:

@@ -1,0 +1,80 @@
+"""Source hygiene of the package, read with ``ast`` alone: no unused
+module-level import, and no function-local import that no cycle needs."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "symlab"
+MODULES = sorted(SRC.glob("*.py"))
+
+# catalog's errata checks run the solver, and the solver builds on catalog
+# models: each side imports the other inside a function
+ALLOWED_LOCAL = {("catalog", "solver"), ("solver", "catalog")}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _bound_names(node):
+    """Names a module-level import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def _local_imports(tree):
+    """(line, imported module) of every import below module level, including
+    calls to ``__import__``."""
+    out = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Import):
+                out.extend((node.lineno, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                out.append((node.lineno, node.module))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "__import__"
+            ):
+                out.append((node.lineno, "__import__"))
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_module_level_import(path):
+    tree = _tree(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = _exported(tree)
+    unused = [
+        (node.lineno, name)
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _bound_names(node)
+        if name not in used and name not in exported
+    ]
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_local_imports_only_break_the_catalog_solver_cycle(path):
+    stray = [
+        (line, module)
+        for line, module in _local_imports(_tree(path))
+        if (path.stem, module) not in ALLOWED_LOCAL
+    ]
+    assert stray == []
