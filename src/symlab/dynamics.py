@@ -3,9 +3,10 @@
 The canonical equations of H = g^ij P_i P_j, P = p + A, are integrated with
 an embedded Verner 6(5) pair.  Metric and potential derivatives are exact:
 after concrete bindings are substituted for the abstract functions of u0,
-the symbolically nonzero entries of g, A, dg, dA and the frame xi are
-compiled in one ``compile_numeric`` call, and each instance generates one
-straight-line kernel around it.  The kernel inverts g by cofactors with
+each instance generates one straight-line kernel that computes the
+symbolically nonzero entries of g, A, dg, dA and the frame xi in place
+(``expr.numeric_lines``, which evaluates each distinct exp, sin and cos
+once per call).  The kernel inverts g by cofactors with
 every zero entry folded away at generation time, and uses the closed form
 d(g^-1) = -g^-1 dg g^-1, so dp_k = v.(d_k g).v - 2 v.(d_k A) with
 v = g^-1 P.  The monitored quantities are the Hamiltonian and the three
@@ -103,15 +104,17 @@ _PERMUTATIONS = tuple(
 )
 
 
-def _kernel_source(names: Sequence[str]) -> str:
+def _kernel_source(names: Sequence[str], entry_lines: Sequence[str]) -> str:
     """Source of ``_kernel`` over the nonzero entries ``names``.
 
-    ``_kernel(u0..u3, p0..p3, flow)`` starts from v = g^-1 P with P = p + A,
+    ``_kernel(u0..u3, p0..p3, flow)`` first runs ``entry_lines``, which
+    assign every entry in ``names`` from u0..u3 (see ``expr.numeric_lines``).
+    It starts from v = g^-1 P with P = p + A,
     where g^-1 is the adjugate (cofactors) over the determinant.  With
     ``flow`` true it returns the canonical flow du = 2v,
     dp_k = v.(d_k g).v - 2 v.(d_k A); otherwise the invariants H = P.v and
-    Y_b = xi_b.p.  It expects ``_values`` (the entries in ``names`` order),
-    ``isfinite`` and ``IntegrationError`` in its globals.
+    Y_b = xi_b.p.  It expects ``isfinite``, ``IntegrationError`` and the
+    functions the entry lines call in its globals.
     """
     present = set(names)
 
@@ -119,10 +122,7 @@ def _kernel_source(names: Sequence[str]) -> str:
         return name if name in present else None
 
     g = [[entry(f"g{min(i, j)}{max(i, j)}") for j in range(4)] for i in range(4)]
-    lines = [
-        "def _kernel(u0, u1, u2, u3, p0, p1, p2, p3, flow):",
-        f"    {', '.join(names)}, = _values(u0, u1, u2, u3)",
-    ]
+    lines = ["def _kernel(u0, u1, u2, u3, p0, p1, p2, p3, flow):", *entry_lines]
 
     def assign(name: str, src: Optional[str]) -> Optional[str]:
         if src is not None:
@@ -152,9 +152,11 @@ def _kernel_source(names: Sequence[str]) -> str:
     lines += [
         f"    det = {det or '0.0'}",
         "    if det == 0.0:",
-        "        raise IntegrationError(f'metric singular at u = {[u0, u1, u2, u3]}')",
+        "        raise IntegrationError(f'metric singular at u = {[u0, u1, u2, u3]}: det g is 0,"
+        " or underflowed to 0 while the entries of g are still in double range')",
         "    if not isfinite(det):",
-        "        raise IntegrationError('state left the representable domain: non-finite metric determinant')",
+        "        raise IntegrationError('state left the representable domain: non-finite metric determinant"
+        " (det g overflows while the entries of g are still in double range)')",
     ]
     P = [assign(f"P{i}", f"p{i}+a{i}") if entry(f"a{i}") else f"p{i}" for i in range(4)]
     v = []
@@ -205,16 +207,7 @@ class ModelInstance:
     params: Dict[str, float]
 
     def __post_init__(self):
-        metric = self.model.metric
-        fields = {f"g{i}{j}": self._bind(metric[i, j]) for i in range(4) for j in range(i, 4)}
-        fields.update((f"a{i}", self._bind(e)) for i, e in enumerate(self.model.potential))
-        entries = dict(fields)
-        for name, e in fields.items():
-            if e:
-                entries.update((f"d{name[0]}{k}_{name[1:]}", differentiate(e, k)) for k in range(4))
-        for b, f in enumerate(self.model.frame):
-            entries.update((f"xi{b}_{i}", self._bind(c)) for i, c in enumerate(f))
-        entries = {name: e for name, e in entries.items() if e}
+        entries = self._entries()
         needed = set()
         for e in entries.values():
             sym = free_symbols(e)
@@ -225,13 +218,30 @@ class ModelInstance:
         missing = needed - set(self.params)
         if missing:
             raise IntegrationError(f"unbound parameters: {sorted(missing)}")
+        names = list(entries)
+        source = _kernel_source(names, ex.numeric_lines(list(entries.values()), names, self.params))
         scope = {
-            "_values": ex.compile_numeric(list(entries.values()), self.params),
+            "exp": math.exp,
+            "sin": math.sin,
+            "cos": math.cos,
             "isfinite": math.isfinite,
             "IntegrationError": IntegrationError,
         }
-        exec(_kernel_source(list(entries)), scope)  # noqa: S102 - generated from the entry names
+        exec(source, scope)  # noqa: S102 - generated from the bound entries
         self._kernel = scope["_kernel"]
+
+    def _entries(self) -> Dict[str, Expr]:
+        """The bound, symbolically nonzero kernel entries by name, in kernel order."""
+        metric = self.model.metric
+        fields = {f"g{i}{j}": self._bind(metric[i, j]) for i in range(4) for j in range(i, 4)}
+        fields.update((f"a{i}", self._bind(e)) for i, e in enumerate(self.model.potential))
+        entries = dict(fields)
+        for name, e in fields.items():
+            if e:
+                entries.update((f"d{name[0]}{k}_{name[1:]}", differentiate(e, k)) for k in range(4))
+        for b, f in enumerate(self.model.frame):
+            entries.update((f"xi{b}_{i}", self._bind(c)) for i, c in enumerate(f))
+        return {name: e for name, e in entries.items() if e}
 
     def _bind(self, e: Expr) -> Expr:
         return substitute(e, funcs=self.bindings)

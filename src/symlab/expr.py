@@ -29,7 +29,7 @@ import functools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "Expr",
@@ -58,6 +58,7 @@ __all__ = [
     "linear_terms",
     "random_assignment",
     "compile_numeric",
+    "numeric_lines",
 ]
 
 NCOORDS = 4
@@ -1202,16 +1203,23 @@ def substitute(
 # ---------------------------------------------------------------------------
 
 
-def compile_numeric(
+def numeric_lines(
     exprs: Sequence[Expr],
+    targets: Sequence[str],
     param_values: Optional[Mapping[str, float]] = None,
     symbols: Sequence = (),
-) -> Callable[..., list]:
-    """Compile expressions to one fast ``f(u0,u1,u2,u3, *symbols) -> [values]``.
+) -> List[str]:
+    """Function-body lines that assign each expression to its target name.
 
+    The lines read the coordinates ``u0..u3`` and the extra symbols as
+    ``s0, s1, ...``, and call ``exp``, ``sin`` and ``cos`` by those names.
     ``param_values`` are folded in as floating constants.  ``symbols`` is an
     ordered sequence of remaining free symbols -- parameter names, FuncSymbol
-    instances, or raw factor keys -- exposed as extra positional arguments.
+    instances, or raw factor keys.  Each distinct ``exp``/``sin``/``cos``
+    call is bound once to a local ``_t0, _t1, ...``, numbered in order of
+    first use and assigned just before the first statement that reads it.
+    A monomial keeps its factor order and its powers (``_t3**-1``), so every
+    target gets the float that evaluating the calls in place would give.
     """
     param_values = dict(param_values or {})
     slot: dict = {}
@@ -1223,23 +1231,32 @@ def compile_numeric(
         else:
             key = tuple(s)
         slot[key] = f"s{idx}"
+    local: dict = {}  # call source -> its local name
+    pending: list = []  # bindings the next statement needs first
+
+    def call(fn: str, arg: str) -> str:
+        src = f"{fn}({arg})"
+        if src not in local:
+            local[src] = f"_t{len(local)}"
+            pending.append(f"    {local[src]} = {src}")
+        return local[src]
+
+    def power(s: str, e: int) -> str:
+        return s if e == 1 else f"{s}**{e}"
 
     def factor_src(key, e: int):
         """Returns (constant factor or None, source or None)."""
         kind = key[0]
         if key in slot:
-            s = slot[key]
-            return None, (s if e == 1 else f"{s}**{e}")
+            return None, power(slot[key], e)
         if kind == "u":
-            s = f"u{key[1]}"
-            return None, (s if e == 1 else f"{s}**{e}")
+            return None, power(f"u{key[1]}", e)
         if kind == "p":
             return param_values[key[1]] ** e, None
         if kind == "tc":
             _, fn, base, rr = key
             if base and ("p", base) in slot:
-                s = f"{fn}({float(rr)!r}*{slot[('p', base)]})"
-                return None, (s if e == 1 else f"{s}**{e}")
+                return None, power(call(fn, f"{float(rr)!r}*{slot[('p', base)]}"), e)
             ang = float(rr) * (param_values[base] if base else 1.0)
             return (math.sin(ang) if fn == "sin" else math.cos(ang)) ** e, None
         raise UnsupportedExpressionError(
@@ -1274,10 +1291,9 @@ def compile_numeric(
             else:
                 factors.append(s)
         if not lf_is_zero(m.expl):
-            factors.append(f"exp({lf_src(m.expl)})")
+            factors.append(call("exp", lf_src(m.expl)))
         for fn, lf, e in m.trig:
-            t = f"{fn}({lf_src(lf)})"
-            factors.append(f"{t}**{e}" if e != 1 else t)
+            factors.append(power(call(fn, lf_src(lf)), e))
         src = repr(const)
         if factors:
             src += "*" + "*".join(factors)
@@ -1288,15 +1304,36 @@ def compile_numeric(
             return "0.0"
         return "+".join(mono_src(m) for m in monos)
 
-    body = []
-    for idx, e in enumerate(exprs):
+    lines = []
+    for target, e in zip(targets, exprs):
         if e.den == SUM_ONE:
-            body.append(f"    v{idx} = {sum_src(e.num)}")
+            src = sum_src(e.num)
         else:
-            body.append(f"    v{idx} = ({sum_src(e.num)})/({sum_src(e.den)})")
-    names = ", ".join(f"v{idx}" for idx in range(len(exprs)))
+            src = f"({sum_src(e.num)})/({sum_src(e.den)})"
+        lines += pending
+        pending.clear()
+        lines.append(f"    {target} = {src}")
+    return lines
+
+
+def compile_numeric(
+    exprs: Sequence[Expr],
+    param_values: Optional[Mapping[str, float]] = None,
+    symbols: Sequence = (),
+) -> Callable[..., list]:
+    """Compile expressions to one fast ``f(u0,u1,u2,u3, *symbols) -> [values]``.
+
+    ``param_values`` are folded in as floating constants.  ``symbols`` is an
+    ordered sequence of remaining free symbols -- parameter names, FuncSymbol
+    instances, or raw factor keys -- exposed as extra positional arguments.
+    The body is ``numeric_lines``: each distinct ``exp``/``sin``/``cos``
+    call runs once per evaluation, and the values are the floats that
+    evaluating every call in place would give.
+    """
+    names = [f"v{idx}" for idx in range(len(exprs))]
     args = ", ".join(["u0", "u1", "u2", "u3"] + [f"s{i}" for i in range(len(symbols))])
-    src = f"def _compiled({args}):\n" + "\n".join(body) + f"\n    return [{names}]\n"
+    body = numeric_lines(exprs, names, param_values, symbols)
+    src = f"def _compiled({args}):\n" + "\n".join(body) + f"\n    return [{', '.join(names)}]\n"
     scope = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
     exec(src, scope)  # noqa: S102 - source is generated from canonical forms
     return scope["_compiled"]

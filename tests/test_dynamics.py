@@ -10,6 +10,7 @@ instead of a hang.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +138,24 @@ class TestKernel:
         y = np.array([0.0, 0.0, 0.0, 200.0, 0.1, 0.1, 0.1, 0.1])
         with pytest.raises(IntegrationError, match="non-finite metric determinant"):
             inst.rhs(y)
+
+    @pytest.mark.parametrize(
+        "u3, match",
+        [
+            (200.0, r"non-finite metric determinant \(det g overflows while the entries of g are still"),
+            (-300.0, r"metric singular at u = \[0\.0, 0\.0, 0\.0, -300\.0\]: det g is 0, or underflowed"),
+        ],
+    )
+    def test_determinant_leaves_double_range_first(self, models, u3, match):
+        # type V's det g carries exp(4*u3); its entries exp(2*u3) stay normal doubles
+        inst = standard_instance(models["V"])
+        y = np.array([0.0, 0.0, 0.0, u3, 0.1, 0.1, 0.1, 0.1])
+        metric = [e for name, e in inst._entries().items() if name.startswith("g")]
+        values = ex.compile_numeric(metric, inst.params)(*y[:4])
+        assert all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in values)
+        for evaluate in (inst.rhs, inst.invariants):
+            with pytest.raises(IntegrationError, match=match):
+                evaluate(y)
 
 
 class TestFreeMotion:
@@ -423,3 +442,214 @@ class TestStep:
                 run(inst, st0, (0.0, 10.0), 1e-10, max_steps=max_steps)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+# -- entries evaluated in place, each transcendental call once ---------------
+
+
+def _unhoisted_compile(exprs, param_values=None, symbols=()):
+    """``compile_numeric`` as it was before it bound each distinct exp, sin
+    and cos call to a local: every call is evaluated where it appears."""
+    param_values = dict(param_values or {})
+    slot = {}
+    for idx, s in enumerate(symbols):
+        if isinstance(s, ex.FuncSymbol):
+            key = ("f", s.name, s.order)
+        elif isinstance(s, str):
+            key = ("p", s)
+        else:
+            key = tuple(s)
+        slot[key] = f"s{idx}"
+
+    def factor_src(key, e):
+        kind = key[0]
+        if key in slot:
+            s = slot[key]
+            return None, (s if e == 1 else f"{s}**{e}")
+        if kind == "u":
+            s = f"u{key[1]}"
+            return None, (s if e == 1 else f"{s}**{e}")
+        if kind == "p":
+            return param_values[key[1]] ** e, None
+        if kind == "tc":
+            _, fn, base, rr = key
+            if base and ("p", base) in slot:
+                s = f"{fn}({float(rr)!r}*{slot[('p', base)]})"
+                return None, (s if e == 1 else f"{s}**{e}")
+            ang = float(rr) * (param_values[base] if base else 1.0)
+            return (math.sin(ang) if fn == "sin" else math.cos(ang)) ** e, None
+        raise ex.UnsupportedExpressionError(f"cannot compile factor {key!r}")
+
+    def cp_src(cp):
+        parts = []
+        for cmono, r in cp:
+            v = float(r)
+            srcs = []
+            for key, e in cmono:
+                c, s = factor_src(key, e)
+                if c is not None:
+                    v *= c
+                else:
+                    srcs.append(s)
+            parts.append("*".join([repr(v)] + srcs))
+        return "+".join(parts) if parts else "0.0"
+
+    def lf_src(lf):
+        parts = [f"({cp_src(cp)})*u{i}" for i, cp in enumerate(lf) if cp]
+        return "+".join(parts) if parts else "0.0"
+
+    def mono_src(m):
+        factors = []
+        const = float(m.coeff)
+        for key, e in m.pows:
+            c, s = factor_src(key, e)
+            if c is not None:
+                const *= c
+            else:
+                factors.append(s)
+        if not ex.lf_is_zero(m.expl):
+            factors.append(f"exp({lf_src(m.expl)})")
+        for fn, lf, e in m.trig:
+            t = f"{fn}({lf_src(lf)})"
+            factors.append(f"{t}**{e}" if e != 1 else t)
+        src = repr(const)
+        if factors:
+            src += "*" + "*".join(factors)
+        return src
+
+    def sum_src(monos):
+        if not monos:
+            return "0.0"
+        return "+".join(mono_src(m) for m in monos)
+
+    body = []
+    for idx, e in enumerate(exprs):
+        if e.den == ex.SUM_ONE:
+            body.append(f"    v{idx} = {sum_src(e.num)}")
+        else:
+            body.append(f"    v{idx} = ({sum_src(e.num)})/({sum_src(e.den)})")
+    names = ", ".join(f"v{idx}" for idx in range(len(exprs)))
+    args = ", ".join(["u0", "u1", "u2", "u3"] + [f"s{i}" for i in range(len(symbols))])
+    src = f"def _compiled({args}):\n" + "\n".join(body) + f"\n    return [{names}]\n"
+    scope = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
+    exec(src, scope)
+    return scope["_compiled"]
+
+
+def _unhoisted_instance(inst):
+    """A copy of ``inst`` whose kernel unpacks its entries from a separate
+    ``_values`` function built by ``_unhoisted_compile``."""
+    entries = inst._entries()
+    names = list(entries)
+    unpack = f"    {', '.join(names)}, = _values(u0, u1, u2, u3)"
+    scope = {
+        "_values": _unhoisted_compile(list(entries.values()), inst.params),
+        "isfinite": math.isfinite,
+        "IntegrationError": IntegrationError,
+    }
+    exec(dynamics._kernel_source(names, [unpack]), scope)
+    ref = dataclasses.replace(inst)
+    ref._kernel = scope["_kernel"]
+    return ref
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _kernel_states(tag, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        y = rng.uniform(-0.8, 0.8, size=8)
+        if tag == "IX":
+            y[1] += math.pi / 2  # away from the chart's pole u1 = 0
+        yield y
+
+
+class TestUnhoistedReference:
+    """Entries evaluated in place, each distinct call once, against the kernel
+    that evaluated every call where it appears in a separate function."""
+
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_kernel_bit_identical_to_unhoisted(self, models, tag):
+        inst = standard_instance(models[tag])
+        ref = _unhoisted_instance(inst)
+        for y in _kernel_states(tag, 8, 2207):
+            assert _bits(inst.rhs(y)) == _bits(ref.rhs(y))
+            assert _bits(inst.invariants(y)) == _bits(ref.invariants(y))
+
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_trajectory_bit_identical_to_unhoisted(self, models, tag):
+        m = models[tag]
+        inst = standard_instance(m)
+        ref = _unhoisted_instance(inst)
+        st0 = random_initial_states(m, 1, seed=2207, radius=0.3)[0]
+        got = integrate(inst, st0, (0.0, 0.5), 1e-10)
+        want = integrate(ref, st0, (0.0, 0.5), 1e-10)
+        assert got.taus == want.taus
+        assert _bits(got.states) == _bits(want.states)
+        assert (got.accepted, got.rejected) == (want.accepted, want.rejected)
+        assert conserved_drift(got, inst) == conserved_drift(want, ref)
+
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_compile_numeric_bit_identical_to_unhoisted(self, models, tag, monkeypatch):
+        # the second-order checker compiles the most expressions: g, A and
+        # their first and second derivatives, over parameters and functions
+        m = models[tag]
+        compiled = []
+        real = ex.compile_numeric
+
+        def spy(exprs, param_values=None, symbols=()):
+            compiled.append((list(exprs), param_values, tuple(symbols)))
+            return real(exprs, param_values, symbols)
+
+        monkeypatch.setattr(ex, "compile_numeric", spy)
+        emfield.KgfChecker(m.metric, m.potential)
+        ((exprs, params, symbols),) = compiled
+        got, want = real(exprs, params, symbols), _unhoisted_compile(exprs, params, symbols)
+        rng = np.random.default_rng(2207)
+        for _ in range(8):
+            args = rng.uniform(0.2, 1.2, size=4 + len(symbols)).tolist()
+            assert _bits(got(*args)) == _bits(want(*args))
+
+    @pytest.mark.parametrize(
+        "tag, u3, cause, match",
+        [
+            ("V", 800.0, OverflowError, "math range error"),
+            ("V", 200.0, type(None), "non-finite metric determinant"),
+            ("IX", 0.0, ZeroDivisionError, "divides by zero"),  # u1 = 0, the chart's pole
+        ],
+    )
+    def test_singular_state_errors_match_unhoisted(self, models, tag, u3, cause, match):
+        inst = standard_instance(models[tag])
+        ref = _unhoisted_instance(inst)
+        y = np.array([0.0, 0.0, 0.0, u3, 0.1, 0.1, 0.1, 0.1])
+        for evaluate in ("rhs", "invariants"):
+            errors = []
+            for each in (inst, ref):
+                with pytest.raises(IntegrationError, match=match) as info:
+                    getattr(each, evaluate)(y)
+                # the kernel error is raised from None; its context keeps the cause
+                errors.append((type(info.value.__context__), str(info.value)))
+            assert errors[0] == errors[1]
+            assert errors[0][0] is cause
+
+    @pytest.mark.parametrize("tag, calls, unhoisted_calls", [("VII", 8, 57), ("IX", 14, 27)])
+    def test_each_transcendental_runs_once(self, models, monkeypatch, tag, calls, unhoisted_calls):
+        # the generated scopes bind math's functions when the code is compiled
+        counts = dict.fromkeys(("exp", "sin", "cos"), 0)
+        for name in counts:
+
+            def counted(x, _name=name, _fn=getattr(math, name)):
+                counts[_name] += 1
+                return _fn(x)
+
+            monkeypatch.setattr(math, name, counted)
+        inst = standard_instance(models[tag])
+        ref = _unhoisted_instance(inst)
+        y = next(_kernel_states(tag, 1, 2207))
+        for each, want in ((inst, calls), (ref, unhoisted_calls)):
+            for flow in (each.rhs, each.invariants):
+                counts.update(dict.fromkeys(counts, 0))
+                flow(y)
+                assert sum(counts.values()) == want
