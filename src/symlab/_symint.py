@@ -1,5 +1,5 @@
-"""Closed-form antiderivatives, constant-coefficient linear ODE solutions and
-exact row reduction.
+"""Closed-form antiderivatives, the exponential of a constant matrix whose
+nonzero entries form one 2x2 block, and exact row reduction.
 
 Internal helpers shared by the coframe construction, the structure-constant
 derivation and the field-tensor solver.  Everything stays inside the
@@ -251,90 +251,41 @@ def _lf_with(i, cp):
 
 
 # ---------------------------------------------------------------------------
-# fundamental matrices of constant-coefficient linear systems
+# exponentials of constant matrices with one 2x2 block
 # ---------------------------------------------------------------------------
 
 
 def fundamental_matrix(N: Sequence[Sequence[Expr]], i: int) -> list:
-    """E(u_i) with E' = N E and E(0) = I, for exact constant matrices N.
+    """E(u_i) = exp(u_i N), so E' = N E and E(0) = I, for an exact constant N
+    whose nonzero entries lie in one 2x2 principal block.
 
-    Supports systems whose strongly connected blocks are single equations or
-    2x2 blocks with an exactly representable eigenstructure (real rational
-    roots, a double root, or a complex pair whose imaginary part is an exact
-    square root, e.g. trace -2*cos(a) and determinant 1).
+    That is the shape of the invariance system of every frame with a pair of
+    coordinate translations (Bianchi I-VII; Ellis & MacCallum 1969).  The
+    block's exponential is written in closed form for a double root, a real
+    pair, or a complex pair whose imaginary part is an exact square root
+    (e.g. trace -2*cos(a) and determinant 1).  Nonzero entries on three
+    indices, or a block whose eigenvalues are not exactly representable,
+    raise UnsupportedExpressionError.
     """
     n = len(N)
     cp = [[expr_to_cp(N[r][c]) for c in range(n)] for r in range(n)]
-    blocks = _scc_blocks(cp)
-    zero, one = number(0), number(1)
-    cols = []
-    for a in range(n):
-        solved = {}
-        for block in blocks:
-            rhs = []
-            for r in block:
-                acc = zero
-                for c in range(n):
-                    if c not in block and cp[r][c]:
-                        acc = acc + cp_to_expr(cp[r][c]) * solved.get(c, zero)
-                rhs.append(acc)
-            init = [one if r == a else zero for r in block]
-            sol = _solve_block([[cp[r][c] for c in block] for r in block], rhs, init, i)
-            for r, val in zip(block, sol):
-                solved[r] = val
-        cols.append([solved[r] for r in range(n)])
-    return [[cols[a][r] for a in range(n)] for r in range(n)]  # E[r][a]
+    support = [r for r in range(n) if any(cp[r][c] or cp[c][r] for c in range(n))]
+    if len(support) > 2:
+        raise UnsupportedExpressionError(
+            f"nonzero entries on {len(support)} indices are outside one 2x2 block"
+        )
+    block = sorted((support + [r for r in range(n) if r not in support])[:2])
+    block_exp = _block_exponential([[cp[r][c] for c in block] for r in block], i)
+    E = [[number(1 if r == c else 0) for c in range(n)] for r in range(n)]
+    for p, r in enumerate(block):
+        for q, c in enumerate(block):
+            E[r][c] = block_exp[p][q]
+    return E
 
 
-def _scc_blocks(cp):
-    """Strongly connected components of the system, dependencies first.
-
-    Row r depends on column c when cp[r][c] is nonzero.  A row's reach (the
-    rows it depends on, transitively, and itself) strictly contains the
-    reach of every row it depends on outside its own component, so sorting
-    the components by reach size puts dependencies first.
-    """
-    n = len(cp)
-    reach = [{r} | {c for c in range(n) if cp[r][c]} for r in range(n)]
-    for k in range(n):
-        for r in range(n):
-            if k in reach[r]:
-                reach[r] |= reach[k]
-    blocks = {}
-    for r in sorted(range(n), key=lambda r: len(reach[r])):
-        blocks.setdefault(tuple(c for c in sorted(reach[r]) if r in reach[c]), None)
-    return [list(block) for block in blocks]
-
-
-def _solve_block(A, rhs, init, i):
-    """Solve y' = A y + rhs(t), y(0) = init, for a 1x1 or 2x2 exact block."""
-    t = coord(i)
-    if len(A) == 1:
-        a_cp = A[0][0]
-        a_expr = cp_to_expr(a_cp)
-        growth = exp(a_expr * t) if a_cp else number(1)
-        decay = exp(-a_expr * t) if a_cp else number(1)
-        particular = number(0)
-        if rhs[0]:
-            particular = definite_integral(decay * rhs[0], i, t)
-        return [growth * (init[0] + particular)]
-    if len(A) == 2:
-        Phi, Phi_inv = _block_exponentials(A, i)
-        y0 = [Expr._coerce(init[0]), Expr._coerce(init[1])]
-        if any(bool(r) for r in rhs):
-            conv = []
-            for r in range(2):
-                integrand = Phi_inv[r][0] * rhs[0] + Phi_inv[r][1] * rhs[1]
-                conv.append(definite_integral(integrand, i, t))
-            y0 = [y0[0] + conv[0], y0[1] + conv[1]]
-        return [Phi[r][0] * y0[0] + Phi[r][1] * y0[1] for r in range(2)]
-    raise UnsupportedExpressionError(
-        f"coupled blocks of size {len(A)} are outside the supported class"
-    )
-
-
-def _block_exponentials(A, i):
-    """exp(t A) and exp(-t A) for an exact 2x2 block."""
+def _block_exponential(A, i):
+    """exp(u_i A) for an exact 2x2 block: e^{mu t} (c0 I + c1 (A - mu I)) with
+    mu half the trace and c0, c1 fixed by the discriminant mu^2 - det."""
     t = coord(i)
     tr = cp_add(A[0][0], A[1][1])
     det = cp_add(cp_mul(A[0][0], A[1][1]), cp_neg(cp_mul(A[0][1], A[1][0])))
@@ -346,39 +297,26 @@ def _block_exponentials(A, i):
         [cp_to_expr(A[0][0]) - mu_e, cp_to_expr(A[0][1])],
         [cp_to_expr(A[1][0]), cp_to_expr(A[1][1]) - mu_e],
     ]
-
-    def build(sign):
-        tt = t if sign > 0 else -t
-        scale = exp(mu_e * tt) if mu else number(1)
-        if not disc:
-            # double root: exp = e^{mu t} (I + t B)
-            c0, c1 = number(1), tt
-        else:
-            omega2 = cp_add(CP_ZERO, disc)
-            root = cp_sqrt(omega2)
-            if root is not None:
-                w = cp_to_expr(root)
-                # real pair mu +- w: cosh/sinh written with exponentials
-                ep = exp(w * tt)
-                em = exp(-(w * tt))
-                half = Fraction(1, 2)
-                c0 = (ep + em) * half
-                c1 = (ep - em) * half / w
-            else:
-                root = cp_sqrt(cp_neg(disc))
-                if root is None:
-                    raise UnsupportedExpressionError(
-                        "block eigenvalues are not exactly representable"
-                    )
-                w = cp_to_expr(root)
-                c0 = cos(w * tt)
-                c1 = sin(w * tt) / w
-        return [
-            [scale * (c0 + c1 * B[0][0]), scale * c1 * B[0][1]],
-            [scale * c1 * B[1][0], scale * (c0 + c1 * B[1][1])],
-        ]
-
-    return build(1), build(-1)
+    scale = exp(mu_e * t) if mu else number(1)
+    if not disc:
+        # double root: exp = e^{mu t} (I + t B)
+        c0, c1 = number(1), t
+    elif (root := cp_sqrt(disc)) is not None:
+        w = cp_to_expr(root)
+        # real pair mu +- w: cosh/sinh written with exponentials
+        ep, em = exp(w * t), exp(-(w * t))
+        c0 = (ep + em) * Fraction(1, 2)
+        c1 = (ep - em) * Fraction(1, 2) / w
+    elif (root := cp_sqrt(cp_neg(disc))) is not None:
+        w = cp_to_expr(root)
+        c0 = cos(w * t)
+        c1 = sin(w * t) / w
+    else:
+        raise UnsupportedExpressionError("block eigenvalues are not exactly representable")
+    return [
+        [scale * (c0 + c1 * B[0][0]), scale * c1 * B[0][1]],
+        [scale * c1 * B[1][0], scale * (c0 + c1 * B[1][1])],
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,8 @@ class ModelInstance:
             "isfinite": math.isfinite,
             "IntegrationError": IntegrationError,
         }
-        exec(source, scope)  # noqa: S102 - generated from the bound entries
+        code = compile(source, f"<kernel {self.model.type_tag}>", "exec")
+        exec(code, scope)  # noqa: S102 - generated from the bound entries
         self._kernel = scope["_kernel"]
 
     def _entries(self) -> Dict[str, Expr]:
@@ -400,7 +401,8 @@ def _step_source() -> str:
 def _verner_step():
     """The generated ``_step``, built on first use rather than at import."""
     scope = {"_KERNEL_ERRORS": _KERNEL_ERRORS, "_kernel_error": _kernel_error}
-    exec(_step_source(), scope)  # noqa: S102 - generated from the coefficient tuples
+    code = compile(_step_source(), "<verner step>", "exec")
+    exec(code, scope)  # noqa: S102 - generated from the coefficient tuples
     return scope["_step"]
 
 

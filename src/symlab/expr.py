@@ -1335,7 +1335,8 @@ def compile_numeric(
     body = numeric_lines(exprs, names, param_values, symbols)
     src = f"def _compiled({args}):\n" + "\n".join(body) + f"\n    return [{', '.join(names)}]\n"
     scope = {"exp": math.exp, "sin": math.sin, "cos": math.cos}
-    exec(src, scope)  # noqa: S102 - source is generated from canonical forms
+    code = compile(src, "<compile_numeric>", "exec")
+    exec(code, scope)  # noqa: S102 - source is generated from canonical forms
     return scope["_compiled"]
 
 

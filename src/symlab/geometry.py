@@ -199,8 +199,6 @@ def structure_constants_from_frame(fields: Sequence[VectorField]) -> StructureCo
     for a in range(3):
         for b in range(a + 1, 3):
             br = lie_bracket(fields[a], fields[b])
-            if not is_zero(br[0]):
-                raise NonClosingFrameError("bracket leaves the group slice")
             if invertible:
                 coeffs = _solve3(mat, [br[i + 1] for i in range(3)], det)
             else:
@@ -213,12 +211,6 @@ def structure_constants_from_frame(fields: Sequence[VectorField]) -> StructureCo
                     )
                 c[a][b][g] = cg
                 c[b][a][g] = -cg
-            for i in range(4):
-                resid = br[i]
-                for g in range(3):
-                    resid = resid - c[a][b][g] * fields[g][i]
-                if not is_zero(resid):
-                    raise NonClosingFrameError("bracket reconstruction residual is nonzero")
     return StructureConstants(c)
 
 
@@ -395,11 +387,14 @@ def _closed_form_candidates():
 def invariant_coframe(fields: Sequence[VectorField]) -> Coframe:
     """Invariant coframe of a simply transitive frame on the group slice.
 
-    Frames containing two coordinate translations reduce the invariance
-    equations to a constant-coefficient linear system in the remaining
-    coordinate, solved exactly.  The two classical frames without such a
-    pair are matched against verified closed forms.  Everything returned
-    has been checked to satisfy L_X s = 0 for every generator.
+    A frame with two coordinate translations d_p, d_q and a third field X
+    with constant X_r != 0 and constant gradient reduces the invariance
+    equations to E' = N E in u_r, with N = -grad(X)/X_r; the coframe is
+    E = exp(u_r N) (types I-VII, where N is zero or one 2x2 block; any other
+    N raises UnsupportedExpressionError).  The two classical frames without
+    such a pair (VIII, IX) are matched against verified closed forms; any
+    other frame raises GeometryError.  Everything returned has been checked
+    to satisfy L_X s = 0 for every generator.
     """
     fields = list(fields)
     if len(fields) != 3:
@@ -410,15 +405,6 @@ def invariant_coframe(fields: Sequence[VectorField]) -> Coframe:
     det = _det3(_spatial_matrix(fields))
     if is_zero(det):
         raise DegenerateFrameError("frame is degenerate on the group slice")
-
-    if all(all(c.is_constant() for c in f) for f in fields):
-        cf = Coframe(
-            tuple(
-                tuple(ex.number(1 if i == a else 0) for i in range(3)) for a in range(3)
-            )
-        )
-        if coframe_is_invariant(cf, fields):
-            return cf
 
     translations = {}
     others = []

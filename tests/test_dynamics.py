@@ -124,6 +124,16 @@ class TestKernel:
                 np.testing.assert_allclose(value, ref, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
             assert inst.hamiltonian(y) == pytest.approx(h, rel=1e-12, abs=1e-12)
 
+    def test_generated_code_has_distinct_filenames(self, models):
+        # profiles key functions by (filename, line, name)
+        kernels = [standard_instance(models[tag])._kernel.__code__.co_filename for tag in catalog.TAGS]
+        assert kernels == [f"<kernel {tag}>" for tag in catalog.TAGS]
+        others = [
+            dynamics._verner_step().__code__.co_filename,
+            ex.compile_numeric([ex.number(1)]).__code__.co_filename,
+        ]
+        assert others == ["<verner step>", "<compile_numeric>"]
+
     def test_exp_overflow_raises_integration_error(self, models):
         # type V's metric and potential carry exp(2*u3) and exp(u3)
         inst = standard_instance(models["V"])

@@ -552,6 +552,21 @@ class TestExactDivision:
             assert type(value) is Fraction
 
 
+@pytest.mark.parametrize("trig", ["", "*sin(3*u1 + alpha)"], ids=["plain", "sin"])
+@pytest.mark.parametrize("lam", ["2", "-1/2", "k"])
+@pytest.mark.parametrize("m", range(4))
+def test_antiderivative_round_trip(m, lam, trig):
+    """u1^m exp(lam u1) [sin(3 u1 + alpha)]: the power recursion and, with the
+    sine, the two-dimensional one; d/du1 of the antiderivative is exact."""
+    e = parse(f"u1^{m}*exp({lam}*u1){trig}")
+    if lam == "k" and trig:
+        # the recursion divides by k^2 + 9, a scalar sum
+        with pytest.raises(UnsupportedExpressionError, match="cannot invert scalar sum"):
+            antiderivative(e, 1)
+        return
+    assert is_zero(differentiate(antiderivative(e, 1), 1) - e)
+
+
 def _stored_rationals(e):
     """Every rational held by the canonical form of ``e``: monomial
     coefficients, the cpoly coefficients of exp and trig linear forms, and

@@ -338,19 +338,89 @@ def _three_branch_determinant(g):
     return g[0][0] * geometry._det3([[g[i][j] for j in range(1, 4)] for i in range(1, 4)])
 
 
-@pytest.mark.parametrize(
-    "cp,components",
-    [
-        ([[1, 1, 0], [0, 0, 1], [0, 0, 1]], [[2], [1], [0]]),  # chain 0 -> 1 -> 2
-        ([[0, 1, 0], [1, 0, 0], [1, 0, 1]], [[0, 1], [2]]),  # 2-cycle and a dependent
-        ([[1, 0, 1], [0, 1, 0], [0, 0, 0]], [[1], [2], [0]]),  # 0 -> 2; 1 on its own
-        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[0], [1], [2]]),  # independent blocks
+# third generator (X1, X2, X3) next to d1 and d2 -> the printed invariant coframe
+OUTSIDE_CATALOG = {
+    ("2*u1 + 3*u2", "-u2", "-1"): [
+        ["exp(2*u3)", "-exp(-u3) + exp(2*u3)", "0"],
+        ["0", "exp(-u3)", "0"],
+        ["0", "0", "1"],
     ],
-    ids=["chain", "cycle-with-dependent", "dependent-and-single", "independent"],
-)
-def test_scc_blocks_put_dependencies_first(cp, components):
-    blocks = _symint._scc_blocks(cp)
-    assert sorted(blocks) == sorted(components)
-    position = {r: k for k, block in enumerate(blocks) for r in block}
-    n = len(cp)
-    assert all(position[c] <= position[r] for r in range(n) for c in range(n) if cp[r][c])
+    ("u2", "u1", "-1"): [
+        ["(1/2)*exp(-u3) + (1/2)*exp(u3)", "(-1/2)*exp(-u3) + (1/2)*exp(u3)", "0"],
+        ["(-1/2)*exp(-u3) + (1/2)*exp(u3)", "(1/2)*exp(-u3) + (1/2)*exp(u3)", "0"],
+        ["0", "0", "1"],
+    ],
+    ("u1 + u2", "2*u2", "-1"): [
+        ["exp(u3)", "-exp(u3) + exp(2*u3)", "0"],
+        ["0", "exp(2*u3)", "0"],
+        ["0", "0", "1"],
+    ],
+    ("3*u1", "u2", "2"): [
+        ["exp((-3/2)*u3)", "0", "0"],
+        ["0", "exp((-1/2)*u3)", "0"],
+        ["0", "0", "1"],
+    ],
+    ("1", "1", "1"): [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+}
+
+
+@pytest.mark.parametrize("third", list(OUTSIDE_CATALOG), ids=lambda t: ",".join(t))
+def test_coframe_outside_catalog_is_pinned(third):
+    cf = invariant_coframe([D1, D2, VectorField.spatial(*map(parse, third))])
+    printed = [[str(cf.component(a, i)) for i in (1, 2, 3)] for a in range(3)]
+    assert printed == OUTSIDE_CATALOG[third]
+
+
+def test_coframe_without_a_closed_form_is_rejected():
+    with pytest.raises(ex.UnsupportedExpressionError, match="not exactly representable"):
+        invariant_coframe([D1, D2, VectorField.spatial(parse("u1 + u2"), parse("u1"), -1)])
+    with pytest.raises(geometry.GeometryError, match="no invariant coframe construction"):
+        invariant_coframe(
+            [VectorField.spatial(1, 1, 0), VectorField.spatial(1, -1, 0), D3]
+        )
+
+
+def _embed(block, rows):
+    """3x3 matrix with the 2x2 ``block`` (texts) on the indices ``rows``."""
+    N = [[ex.number(0)] * 3 for _ in range(3)]
+    for p, r in enumerate(rows):
+        for q, c in enumerate(rows):
+            N[r][c] = parse(block[p][q])
+    return N
+
+
+class TestFundamentalMatrix:
+    """exp(u_i N) from the one 2x2 closed form: E' = N E and E = I at u_i = 0."""
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            (("0", "1"), ("1", "0")),  # real pair +-1
+            (("1", "0"), ("1", "1")),  # double root 1
+            (("0", "-1"), ("1", "-2*cos(alpha)")),  # complex pair -cos(a) +- i sin(a)
+            (("0", "0"), ("0", "3")),  # one nonzero index, padded to a block
+            (("0", "0"), ("0", "0")),
+        ],
+        ids=["real-pair", "double-root", "complex-pair", "single-index", "zero"],
+    )
+    @pytest.mark.parametrize("rows", [(0, 1), (0, 2), (1, 2)], ids=str)
+    def test_solves_the_system(self, block, rows):
+        N = _embed(block, rows)
+        E = _symint.fundamental_matrix(N, 3)
+        for r in range(3):
+            for c in range(3):
+                flow = sum((N[r][k] * E[k][c] for k in range(3)), ex.number(0))
+                assert is_zero(ex.differentiate(E[r][c], 3) - flow), (r, c)
+                start = ex.substitute(E[r][c], coords={3: ex.number(0)})
+                assert is_zero(start - ex.number(1 if r == c else 0)), (r, c)
+
+    def test_three_indices_raise(self):
+        N = _embed((("0", "1"), ("0", "0")), (0, 1))
+        N[1][2] = ex.number(1)
+        with pytest.raises(ex.UnsupportedExpressionError, match="3 indices"):
+            _symint.fundamental_matrix(N, 3)
+
+    def test_irrational_eigenvalues_raise(self):
+        N = _embed((("1", "1"), ("1", "0")), (0, 1))
+        with pytest.raises(ex.UnsupportedExpressionError, match="not exactly representable"):
+            _symint.fundamental_matrix(N, 3)

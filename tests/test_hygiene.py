@@ -1,5 +1,6 @@
 """Source hygiene of the package, read with ``ast`` alone: no unused
-module-level import, and no function-local import that no cycle needs."""
+module-level import, no function-local import that no cycle needs, and no
+private module-level name that nothing in the package refers to."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,48 @@ def test_local_imports_only_break_the_catalog_solver_cycle(path):
         if (path.stem, module) not in ALLOWED_LOCAL
     ]
     assert stray == []
+
+
+def _private_definitions(tree):
+    """(statement index, line, name) of every module-level function, class or
+    assignment whose name starts with one underscore."""
+    for k, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield k, node.lineno, name
+
+
+def _referrers():
+    """name -> the (module, top-level statement index) pairs that read it, as
+    a name or as an attribute."""
+    out = {}
+    for path in MODULES:
+        for k, stmt in enumerate(_tree(path).body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                out.setdefault(name, set()).add((path.stem, k))
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_private_names_are_referenced(path):
+    """A private helper that only its own definition reads is an orphan."""
+    referrers = _referrers()
+    orphans = [
+        (line, name)
+        for k, line, name in _private_definitions(_tree(path))
+        if not referrers.get(name, set()) - {(path.stem, k)}
+    ]
+    assert orphans == []
