@@ -15,8 +15,6 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
-import numpy as np
-
 from . import expr as ex
 from .expr import Expr, FuncSymbol, InputError, free_symbols, is_zero, differentiate, parse
 from .geometry import (
@@ -31,6 +29,7 @@ from .geometry import (
     lie_bracket,
     metric_from_coframe,
     structure_constants_from_frame,
+    _det3,
 )
 from .emfield import (
     FieldTensor,
@@ -625,12 +624,10 @@ def _nonzero_uniform(rng):
 def _random_spatial_matrix(rng):
     while True:
         vals = {name: rng.uniform(-2.0, 2.0) for name in _A_NAMES}
-        m = np.array(
-            [
-                [vals["a11"], vals["a12"], vals["a13"]],
-                [vals["a12"], vals["a22"], vals["a23"]],
-                [vals["a13"], vals["a23"], vals["a33"]],
-            ]
-        )
-        if abs(np.linalg.det(m)) > 0.1:
+        m = [
+            [vals["a11"], vals["a12"], vals["a13"]],
+            [vals["a12"], vals["a22"], vals["a23"]],
+            [vals["a13"], vals["a23"], vals["a33"]],
+        ]
+        if abs(_det3(m)) > 0.1:  # the cofactor expansion, in floats
             return vals

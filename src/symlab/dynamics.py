@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .expr import Expr, InputError, differentiate, free_symbols, parse, substitute
+from .expr import Expr, InputError, IntegrationError, differentiate, free_symbols, parse, substitute
 from .catalog import BianchiModel
 
 __all__ = [
@@ -40,10 +40,6 @@ __all__ = [
     "trajectory_rows",
     "random_initial_states",
 ]
-
-
-class IntegrationError(Exception):
-    pass
 
 
 def standard_bindings() -> Dict[str, Expr]:

@@ -7,14 +7,15 @@ residuals use the exact engine.  The two second-order scalar conditions,
 which involve the inverse metric, are checked numerically at sample points;
 their derivatives along a generator are exact (the chain rule applied to
 compiled first and second derivatives of g and A), not finite differences.
+Only that numeric check uses numpy: ``KgfChecker`` loads it when it first
+evaluates a point, so the symbolic residuals run without it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
-
-import numpy as np
 
 from . import expr as ex
 from .expr import Expr, Assignment, differentiate, evaluate, free_symbols, is_zero
@@ -193,9 +194,16 @@ def algebraic_constraint_residual(
 
 _UPPER = tuple((i, j) for i in range(4) for j in range(i, 4))
 _FULL = [[_UPPER.index((min(i, j), max(i, j))) for j in range(4)] for i in range(4)]
-# the compiled values start with 17 symmetric matrices of 10 upper entries
-# each (g, d_l g, d_k d_l g); this indexes them as 17 full 4x4 matrices
-_SYM_INDEX = 10 * np.arange(17)[:, None, None] + np.array(_FULL)
+
+
+@functools.lru_cache(maxsize=1)
+def _sym_index():
+    """The compiled values start with 17 symmetric matrices of 10 upper
+    entries each (g, d_l g, d_k d_l g); this indexes them as 17 full 4x4
+    matrices.  Built on first use, so that importing emfield loads no numpy."""
+    import numpy as np
+
+    return 10 * np.arange(17)[:, None, None] + np.array(_FULL)
 
 
 class KgfChecker:
@@ -259,41 +267,46 @@ class KgfChecker:
         """(d1, d2, s1, s2): d_k f1 and d_k f2 for k = 1..3, and the
         magnitudes of the terms f1 and f2 are assembled from (cancellation
         scales)."""
-        out = np.zeros(self._size)
-        out[self._nonzero] = self._fn(*coords, *vals)
-        mats = out[_SYM_INDEX]
-        vecs = out[170:].reshape(17, 4)  # A, d_l A, d_k d_l A
-        g, dg, ddg = mats[0], mats[1:5], mats[5:].reshape(3, 4, 4, 4)
-        a, da, dda = vecs[0], vecs[1:5], vecs[5:].reshape(3, 4, 4)
-        if abs(np.linalg.det(g)) < 1e-12:
-            raise ex.EvaluationError("metric singular at a sample point")
-        ginv = np.linalg.inv(g)
-        v = ginv @ a
-        gdg = ginv @ dg  # G d_l g
-        chi = 0.5 * np.trace(gdg, axis1=1, axis2=2)
-        dv = (da - dg @ v) @ ginv  # row l: d_l v (G is symmetric)
-        d1 = 2.0 * da[1:] @ v - (dg[1:] @ v) @ v
-        ddv = (
-            dda
-            - ddg @ v
-            - np.einsum("lmn,kn->klm", dg, dv[1:])
-            - np.einsum("kmn,ln->klm", dg[1:], dv)
-        )
-        dchi = 0.5 * (
-            np.einsum("ij,klji->kl", ginv, ddg)
-            - np.einsum("kij,lji->kl", gdg[1:], gdg)
-        )
-        d2 = np.einsum("lm,klm->k", ginv, ddv) + dv[1:] @ chi + dchi @ v
-        aginv = np.abs(ginv)
-        aa = np.abs(a)
-        dginv_diag = np.einsum("llm->lm", gdg @ ginv)  # row l of G d_lg G
-        s1 = aa @ aginv @ aa
-        s2 = (
-            np.sum(np.abs(dginv_diag) @ aa)
-            + np.sum(aginv * np.abs(da))
-            + (aginv @ aa) @ np.abs(chi)
-        )
-        return d1.tolist(), d2.tolist(), float(s1), float(s2)
+        import numpy as np
+
+        # overflow at a point gives non-finite residuals, which the caller
+        # counts; numpy need not warn about them as well
+        with np.errstate(all="ignore"):
+            out = np.zeros(self._size)
+            out[self._nonzero] = self._fn(*coords, *vals)
+            mats = out[_sym_index()]
+            vecs = out[170:].reshape(17, 4)  # A, d_l A, d_k d_l A
+            g, dg, ddg = mats[0], mats[1:5], mats[5:].reshape(3, 4, 4, 4)
+            a, da, dda = vecs[0], vecs[1:5], vecs[5:].reshape(3, 4, 4)
+            if abs(np.linalg.det(g)) < 1e-12:
+                raise ex.EvaluationError("metric singular at a sample point")
+            ginv = np.linalg.inv(g)
+            v = ginv @ a
+            gdg = ginv @ dg  # G d_l g
+            chi = 0.5 * np.trace(gdg, axis1=1, axis2=2)
+            dv = (da - dg @ v) @ ginv  # row l: d_l v (G is symmetric)
+            d1 = 2.0 * da[1:] @ v - (dg[1:] @ v) @ v
+            ddv = (
+                dda
+                - ddg @ v
+                - np.einsum("lmn,kn->klm", dg, dv[1:])
+                - np.einsum("kmn,ln->klm", dg[1:], dv)
+            )
+            dchi = 0.5 * (
+                np.einsum("ij,klji->kl", ginv, ddg)
+                - np.einsum("kij,lji->kl", gdg[1:], gdg)
+            )
+            d2 = np.einsum("lm,klm->k", ginv, ddv) + dv[1:] @ chi + dchi @ v
+            aginv = np.abs(ginv)
+            aa = np.abs(a)
+            dginv_diag = np.einsum("llm->lm", gdg @ ginv)  # row l of G d_lg G
+            s1 = aa @ aginv @ aa
+            s2 = (
+                np.sum(np.abs(dginv_diag) @ aa)
+                + np.sum(aginv * np.abs(da))
+                + (aginv @ aa) @ np.abs(chi)
+            )
+            return d1.tolist(), d2.tolist(), float(s1), float(s2)
 
     def residuals(self, X: VectorField, point: Assignment) -> Tuple[float, float]:
         """The two directional residuals for generator X at the point.
@@ -313,23 +326,20 @@ class KgfChecker:
         xi = [evaluate(X[i], point) for i in range(4)]
         key = (point.coords, tuple(vals))
         last_key, derivs = self._last
-        # overflow at a point gives non-finite residuals, which the caller
-        # counts; numpy need not warn about them as well
-        with np.errstate(all="ignore"):
-            if last_key != key:
-                derivs = self._derivatives(point.coords, vals)
-                self._last = (key, derivs)
-            d1, d2, m1, m2 = derivs
-            r1 = r2 = 0.0
-            s1 = s2 = 1.0
-            for i in range(1, 4):
-                if abs(xi[i]) < 1e-15:
-                    continue
-                r1 += xi[i] * d1[i - 1]
-                r2 += xi[i] * d2[i - 1]
-                s1 += abs(xi[i]) * m1
-                s2 += abs(xi[i]) * m2
-            return r1 / s1, r2 / s2
+        if last_key != key:
+            derivs = self._derivatives(point.coords, vals)
+            self._last = (key, derivs)
+        d1, d2, m1, m2 = derivs
+        r1 = r2 = 0.0
+        s1 = s2 = 1.0
+        for i in range(1, 4):
+            if abs(xi[i]) < 1e-15:
+                continue
+            r1 += xi[i] * d1[i - 1]
+            r2 += xi[i] * d2[i - 1]
+            s1 += abs(xi[i]) * m1
+            s2 += abs(xi[i]) * m2
+        return r1 / s1, r2 / s2
 
 
 def kgf_extra_residual_at(

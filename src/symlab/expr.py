@@ -84,6 +84,13 @@ class InputError(ValueError):
     it as an input error; a plain ``ValueError`` stays a defect."""
 
 
+class IntegrationError(Exception):
+    """A trajectory cannot go on: it left the representable domain, met a
+    singular metric or used up its step budget.  ``dynamics`` raises and
+    exports it; it lives here so that the command line can catch it without
+    loading ``dynamics`` and numpy."""
+
+
 class ExprError(Exception):
     """Base class for expression-engine errors."""
 

@@ -4,19 +4,23 @@ Coordinate ``u0`` is the non-ignorable direction; a three-parameter symmetry
 group acts on the ``u1..u3`` slice, so group generators have vanishing ``u0``
 component.  Invariant metrics are assembled from an invariant coframe with
 abstract coefficient functions of ``u0``.
+
+Only ``metric_sample`` uses numpy, and it loads numpy when it is called, so
+the symbolic machinery runs without it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from . import expr as ex
 from ._symint import fundamental_matrix, row_reduce
 from .expr import Expr, Assignment, is_zero, differentiate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "VectorField",
@@ -526,6 +530,8 @@ def metric_sample(metric: Metric, point: Assignment) -> MetricSample:
     The determinant is differentiated exactly; only the final ratio is
     evaluated in floating point.
     """
+    import numpy as np
+
     g = np.empty((4, 4))
     for i in range(4):
         for j in range(4):
