@@ -4,8 +4,9 @@ nonzero entries form one 2x2 block, and exact row reduction.
 Internal helpers shared by the coframe construction, the structure-constant
 derivation and the field-tensor solver.  Everything stays inside the
 expression engine's closed class: polynomials times one exponential of a
-linear form times at most one sine or cosine of a linear form, with exact
-scalar coefficients.
+linear form times at most one sine or cosine of a linear form.  An exact
+scalar -- a linear-form coefficient, or an entry of a constant matrix -- is
+a constant ``Expr``, or the canonical monomial sum it holds as ``num``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from typing import Optional, Sequence
 
 from .expr import (
     CP_ZERO,
+    ONE,
+    ZERO,
     Expr,
     LF_ZERO,
     Mono,
@@ -23,19 +26,14 @@ from .expr import (
     UnsupportedExpressionError,
     _combine,
     _expand_raw,
+    _mono_inv,
     _mono_mul,
     _q,
     _sorted,
-    cp_add,
-    cp_mul,
-    cp_neg,
-    cp_rational,
-    cp_scale,
-    cp_from_rat,
+    _sum_str,
     coord,
     cos,
     exp,
-    lf_is_zero,
     number,
     sin,
     substitute,
@@ -45,69 +43,39 @@ _ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# exact scalar helpers (cpoly level)
+# exact scalars: canonical sums of constant monomials
 # ---------------------------------------------------------------------------
 
 
 def cp_invert(cp) -> tuple:
-    """Inverse of a single-term scalar; raises for sums."""
-    r = cp_rational(cp)
-    if r is not None:
-        if not r:
-            raise ZeroDivisionError("inverting the zero scalar")
-        return cp_from_rat(_ONE / r)
+    """Inverse of a one-term scalar sum; raises for a sum of more terms."""
+    if not cp:
+        raise ZeroDivisionError("inverting the zero scalar")
     if len(cp) != 1:
-        raise UnsupportedExpressionError(f"cannot invert scalar sum {cp!r}")
-    cmono, coeff = cp[0]
-    inv_mono = tuple((key, -e) for key, e in cmono)
-    return ((inv_mono, _q(_ONE / coeff)),)
+        raise UnsupportedExpressionError(f"cannot invert scalar sum {_sum_str(cp)}")
+    return (_mono_inv(cp[0]),)
 
 
 def cp_sqrt(cp) -> Optional[tuple]:
-    """Exact square root of a single-term scalar, or None."""
-    r = cp_rational(cp)
-    if r is not None:
-        if r < 0:
-            return None
-        num = _isqrt_exact(r.numerator)
-        den = _isqrt_exact(r.denominator)
-        if num is None or den is None:
-            return None
-        return cp_from_rat(Fraction(num, den))
+    """Exact square root of a scalar sum of at most one term, or None."""
+    if not cp:
+        return CP_ZERO
     if len(cp) != 1:
         return None
-    cmono, coeff = cp[0]
-    if coeff < 0 or any(e % 2 for _k, e in cmono):
+    m = cp[0]
+    if m.coeff < 0 or any(e % 2 for _k, e in m.pows):
         return None
-    num = _isqrt_exact(coeff.numerator)
-    den = _isqrt_exact(coeff.denominator)
+    num = _isqrt_exact(m.coeff.numerator)
+    den = _isqrt_exact(m.coeff.denominator)
     if num is None or den is None:
         return None
-    half = tuple((key, e // 2) for key, e in cmono)
-    return ((half, _q(Fraction(num, den))),)
+    half = tuple((key, e // 2) for key, e in m.pows)
+    return (Mono(_q(Fraction(num, den)), half, LF_ZERO, ()),)
 
 
 def _isqrt_exact(n: int) -> Optional[int]:
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-def cp_to_expr(cp) -> Expr:
-    return Expr(_combine([Mono(c, m, LF_ZERO, ()) for m, c in cp]))
-
-
-def expr_to_cp(e: Expr):
-    """Constant expression -> scalar polynomial; raises if not constant."""
-    if e.den != SUM_ONE:
-        raise UnsupportedExpressionError("scalar must not be a quotient")
-    out = CP_ZERO
-    for m in e.num:
-        if m.trig or not lf_is_zero(m.expl):
-            raise UnsupportedExpressionError("scalar contains exp/trig of coordinates")
-        if any(k[0] in ("u", "f") for k, _e in m.pows):
-            raise UnsupportedExpressionError("scalar contains coordinates or functions")
-        out = cp_add(out, ((m.pows, m.coeff),))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +155,17 @@ def _mono_antiderivative(m: Mono, i: int) -> Expr:
 
     if not trig_dep:
         # t^m exp(lam t): downward recursion in the power
-        lam_inv = cp_invert(lam)
+        lam_inv = Expr(cp_invert(lam))
         terms = []
-        coeff = cp_from_rat(1)
+        coeff = ONE
         for j in range(power, -1, -1):
-            coeff = cp_mul(coeff, lam_inv)
-            terms.append((j, coeff))
-            coeff = cp_scale(coeff, -j)
+            coeff = coeff * lam_inv
+            terms.append((j, coeff.num))
+            coeff = coeff * -j
         out = []
         for j, cpc in terms:
             t_part = Mono(1, ((("u", i), j),) if j else (), _lf_with(i, lam), ())
-            scaled = [Mono(c2, mm, LF_ZERO, ()) for mm, c2 in cpc]
-            for s in scaled:
+            for s in cpc:
                 for x in _mono_mul(s, t_part):
                     out.extend(_mono_mul(x, rest))
         # drop factorial-style falling coefficients that vanished
@@ -206,37 +173,33 @@ def _mono_antiderivative(m: Mono, i: int) -> Expr:
 
     # t^m exp(lam t) trig(mu t + rho): solve the two-dimensional recursion
     fn, lf, _ = trig_dep[0]
-    mu = lf[i]
+    lam_e, mu = Expr(lam), Expr(lf[i])
     # D = lam^2 + mu^2 must be exactly invertible (rational after the
     # sin^2+cos^2 reduction in the catalog's cases)
-    D = cp_add(cp_mul(lam, lam), cp_mul(mu, mu))
-    D_inv = cp_invert(D)
-    ps = [CP_ZERO] * (power + 1)
-    qs = [CP_ZERO] * (power + 1)
+    D_inv = Expr(cp_invert((lam_e * lam_e + mu * mu).num))
+    ps = [ZERO] * (power + 1)
+    qs = [ZERO] * (power + 1)
     want_sin = fn == "sin"
     for j in range(power, -1, -1):
         if j == power:
-            r_s = cp_from_rat(1) if want_sin else CP_ZERO
-            r_c = CP_ZERO if want_sin else cp_from_rat(1)
+            r_s = ONE if want_sin else ZERO
+            r_c = ZERO if want_sin else ONE
         else:
-            r_s = cp_scale(ps[j + 1], -(j + 1))
-            r_c = cp_scale(qs[j + 1], -(j + 1))
+            r_s = ps[j + 1] * -(j + 1)
+            r_c = qs[j + 1] * -(j + 1)
         # [[lam, -mu], [mu, lam]] (p_j, q_j)^T = (r_s, r_c)^T
-        ps[j] = cp_mul(D_inv, cp_add(cp_mul(lam, r_s), cp_mul(mu, r_c)))
-        qs[j] = cp_mul(D_inv, cp_add(cp_mul(lam, r_c), cp_neg(cp_mul(mu, r_s))))
+        ps[j] = D_inv * (lam_e * r_s + mu * r_c)
+        qs[j] = D_inv * (lam_e * r_c - mu * r_s)
     out = []
     for j in range(power + 1):
-        for trig_fn, cpc in (("sin", ps[j]), ("cos", qs[j])):
-            if not cpc:
-                continue
+        for trig_fn, c in (("sin", ps[j]), ("cos", qs[j])):
             base = Mono(
                 1,
                 ((("u", i), j),) if j else (),
                 _lf_with(i, lam),
                 ((trig_fn, lf, 1),),
             )
-            for mm, c2 in cpc:
-                s = Mono(c2, mm, LF_ZERO, ())
+            for s in c.num:
                 for x in _mono_mul(s, base):
                     out.extend(_mono_mul(x, rest))
     return Expr(_combine(out))
@@ -268,14 +231,15 @@ def fundamental_matrix(N: Sequence[Sequence[Expr]], i: int) -> list:
     raise UnsupportedExpressionError.
     """
     n = len(N)
-    cp = [[expr_to_cp(N[r][c]) for c in range(n)] for r in range(n)]
-    support = [r for r in range(n) if any(cp[r][c] or cp[c][r] for c in range(n))]
+    if any(x.den != SUM_ONE or not x.is_constant() for row in N for x in row):
+        raise UnsupportedExpressionError("matrix entries must be constants, not quotients of sums")
+    support = [r for r in range(n) if any(N[r][c] or N[c][r] for c in range(n))]
     if len(support) > 2:
         raise UnsupportedExpressionError(
             f"nonzero entries on {len(support)} indices are outside one 2x2 block"
         )
     block = sorted((support + [r for r in range(n) if r not in support])[:2])
-    block_exp = _block_exponential([[cp[r][c] for c in block] for r in block], i)
+    block_exp = _block_exponential([[N[r][c] for c in block] for r in block], i)
     E = [[number(1 if r == c else 0) for c in range(n)] for r in range(n)]
     for p, r in enumerate(block):
         for q, c in enumerate(block):
@@ -287,28 +251,25 @@ def _block_exponential(A, i):
     """exp(u_i A) for an exact 2x2 block: e^{mu t} (c0 I + c1 (A - mu I)) with
     mu half the trace and c0, c1 fixed by the discriminant mu^2 - det."""
     t = coord(i)
-    tr = cp_add(A[0][0], A[1][1])
-    det = cp_add(cp_mul(A[0][0], A[1][1]), cp_neg(cp_mul(A[0][1], A[1][0])))
-    mu = cp_scale(tr, Fraction(1, 2))
-    disc = cp_add(cp_mul(mu, mu), cp_neg(det))  # mu^2 - det = (lam1-lam2)^2/4
+    mu = (A[0][0] + A[1][1]) * Fraction(1, 2)
+    disc = mu * mu - (A[0][0] * A[1][1] - A[0][1] * A[1][0])  # (lam1-lam2)^2/4
 
-    mu_e = cp_to_expr(mu)
     B = [
-        [cp_to_expr(A[0][0]) - mu_e, cp_to_expr(A[0][1])],
-        [cp_to_expr(A[1][0]), cp_to_expr(A[1][1]) - mu_e],
+        [A[0][0] - mu, A[0][1]],
+        [A[1][0], A[1][1] - mu],
     ]
-    scale = exp(mu_e * t) if mu else number(1)
+    scale = exp(mu * t) if mu else number(1)
     if not disc:
         # double root: exp = e^{mu t} (I + t B)
         c0, c1 = number(1), t
-    elif (root := cp_sqrt(disc)) is not None:
-        w = cp_to_expr(root)
+    elif (root := cp_sqrt(disc.num)) is not None:
+        w = Expr(root)
         # real pair mu +- w: cosh/sinh written with exponentials
         ep, em = exp(w * t), exp(-(w * t))
         c0 = (ep + em) * Fraction(1, 2)
         c1 = (ep - em) * Fraction(1, 2) / w
-    elif (root := cp_sqrt(cp_neg(disc))) is not None:
-        w = cp_to_expr(root)
+    elif (root := cp_sqrt((-disc).num)) is not None:
+        w = Expr(root)
         c0 = cos(w * t)
         c1 = sin(w * t) / w
     else:

@@ -76,6 +76,15 @@ class ErrataNote:
             return True
         return self.check()
 
+    def as_dict(self) -> Dict[str, str]:
+        """The note's four text fields, in report order."""
+        return {
+            "location": self.location,
+            "printed_form": self.printed_form,
+            "consistent_form": self.consistent_form,
+            "evidence": self.evidence,
+        }
+
 
 @dataclass(frozen=True)
 class BianchiModel:

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "symlab-report/1"
-NUMERIC_TOL = 1e-9  # algebraic / Killing numeric checks
+NUMERIC_TOL = 1e-9  # a symbolic residual evaluated at a point (the checks are exact)
 KGF_TOL = 1e-8  # second-order scalar conditions and dynamics drift
 
 
@@ -224,15 +224,7 @@ def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> 
         )
     )
 
-    for note in model.errata:
-        report.errata.append(
-            {
-                "location": note.location,
-                "printed_form": note.printed_form,
-                "consistent_form": note.consistent_form,
-                "evidence": note.evidence,
-            }
-        )
+    report.errata.extend(note.as_dict() for note in model.errata)
     report.timing_seconds = time.perf_counter() - t0
     return report
 
@@ -501,16 +493,7 @@ def _cmd_errata(args) -> int:
         doc = {
             "schema": REPORT_SCHEMA,
             "model": args.group.upper(),
-            "errata": [
-                {
-                    "location": n.location,
-                    "printed_form": n.printed_form,
-                    "consistent_form": n.consistent_form,
-                    "evidence": n.evidence,
-                    "reproduced": n.reproduce(),
-                }
-                for n in notes
-            ],
+            "errata": [dict(n.as_dict(), reproduced=n.reproduce()) for n in notes],
         }
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
@@ -574,6 +557,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except _USER_ERRORS as err:
         sys.stderr.write(f"error: {err}\n")
+        return 2
+    except ModuleNotFoundError as err:
+        # only verify and simulate load numpy; any other missing module is
+        # a broken install and keeps its traceback
+        if err.name != "numpy":
+            raise
+        sys.stderr.write(f"error: {args.command} needs numpy, which cannot be imported\n")
         return 2
 
 

@@ -319,11 +319,10 @@ class KgfChecker:
         values (an ``Assignment`` is mutable), so the generators of one point
         share one evaluation.
         """
-        vals = self._values(point)
-        xi0 = evaluate(X[0], point)
-        if abs(xi0) > 1e-13:
+        if not X.is_group_generator():
             raise ex.InputError("generator must have zero u0 component")
-        xi = [evaluate(X[i], point) for i in range(4)]
+        vals = self._values(point)
+        xi = [evaluate(X[i], point) for i in range(1, 4)]
         key = (point.coords, tuple(vals))
         last_key, derivs = self._last
         if last_key != key:
@@ -332,13 +331,13 @@ class KgfChecker:
         d1, d2, m1, m2 = derivs
         r1 = r2 = 0.0
         s1 = s2 = 1.0
-        for i in range(1, 4):
-            if abs(xi[i]) < 1e-15:
+        for x, e1, e2 in zip(xi, d1, d2):
+            if abs(x) < 1e-15:
                 continue
-            r1 += xi[i] * d1[i - 1]
-            r2 += xi[i] * d2[i - 1]
-            s1 += abs(xi[i]) * m1
-            s2 += abs(xi[i]) * m2
+            r1 += x * e1
+            r2 += x * e2
+            s1 += abs(x) * m1
+            s2 += abs(x) * m2
         return r1 / s1, r2 / s2
 
 

@@ -12,6 +12,10 @@ each a rational coefficient times a product of
 * one exponential of a linear form in the coordinates,
 * sines/cosines of linear forms in the coordinates.
 
+The coefficient of a coordinate in such a linear form is a constant of the
+same class, held as the canonical monomial sum that a constant expression
+has, and sorted, printed and compiled by the same code.
+
 Products of trigonometric factors are rewritten into sums (product-to-sum),
 so a canonical monomial carries at most one positive trigonometric power.
 Because of that, structural equality of canonical forms is a sound equality
@@ -136,6 +140,11 @@ class FuncSymbol(NamedTuple):
 # equal to a cached one is not re-checked, so a float leaf equal to a cached
 # rational gets its key instead of a TypeError; canonical forms hold no
 # floats.)
+#
+# A monomial sorts by its factors first and its coefficient last, the order a
+# linear-form coefficient had when it was a sum of (factors, coefficient)
+# pairs; ``_mono_sort_key`` drops the coefficient, which a canonical sum never
+# needs, as its factors are distinct.
 # ---------------------------------------------------------------------------
 
 _SKEY_CACHE_SIZE = 1 << 16
@@ -146,6 +155,8 @@ def _skey(obj):
     t = type(obj)
     if t is tuple:
         return _tuple_skey(obj)
+    if t is Mono:
+        return _tuple_skey((obj.pows, obj.expl, obj.trig, obj.coeff))
     if t is str:
         return (1, obj, 0, 0)
     if t is int:
@@ -173,17 +184,105 @@ def _sorted(items):
 
 
 # ---------------------------------------------------------------------------
-# constant polynomials: exact scalars built from parameters and constant-angle
-# sines/cosines.  Used for linear-form coefficients and structure constants.
-#
-# cmono: sorted tuple of (key, exponent); key is ('p', name) or
-#        ('tc', 'sin'|'cos', base, rational multiple)  with base '' meaning a
-#        pure rational angle.
-# cpoly: sorted tuple of (cmono, coefficient); a coefficient is an int, or a
-#        Fraction when not integral.
+# linear forms in the coordinates, with no constant part (constant pieces of
+# trig arguments are split off at construction).  A linear form holds one
+# coefficient per coordinate: a canonical sum of constant monomials, the form
+# ``Expr.num`` has for a constant, so the monomial code below adds,
+# multiplies, evaluates, prints and compiles it.  The empty sum is zero.
 # ---------------------------------------------------------------------------
 
 CP_ZERO = ()
+LF_ZERO = (CP_ZERO,) * NCOORDS
+
+
+def cp_from_rat(r: Number) -> tuple:
+    """The coefficient sum of the rational ``r``."""
+    return (Mono(_q(Fraction(r)), (), LF_ZERO, ()),) if r else CP_ZERO
+
+
+def cp_rational(a) -> Optional[Fraction]:
+    """The value of a coefficient sum if it is a plain rational, else None."""
+    if not a:
+        return Fraction(0)
+    c = _scalar(a)
+    return None if c is None else Fraction(c)
+
+
+def lf_add(a, b):
+    # the operands are canonical, so adding the zero form returns the other;
+    # in _mono_mul almost every operand is zero (no exp factor)
+    if b == LF_ZERO:
+        return a
+    if a == LF_ZERO:
+        return b
+    # likewise per coordinate: a canonical sum plus the empty sum is itself
+    return tuple(_combine(x + y) if x and y else x or y for x, y in zip(a, b))
+
+
+def lf_neg(a):
+    return tuple(_sum_scale(x, -1) for x in a)
+
+
+def lf_is_zero(a) -> bool:
+    return all(not x for x in a)
+
+
+def _lf_norm_sign(a):
+    """Canonical sign for trig arguments: returns (sign, normalized form)."""
+    for cp in a:
+        if cp:
+            if cp[0].coeff < 0:
+                return -1, lf_neg(a)
+            return 1, a
+    return 1, a
+
+
+def _lf_str(a) -> str:
+    parts = []
+    for i, cp in enumerate(a):
+        if not cp:
+            continue
+        r = cp_rational(cp)
+        if r == 1:
+            parts.append(COORD_NAMES[i])
+        elif r == -1:
+            parts.append("-" + COORD_NAMES[i])
+        elif r is not None:
+            parts.append(_rat_str(r) + "*" + COORD_NAMES[i])
+        elif len(cp) == 1:
+            parts.append(_sum_str(cp) + "*" + COORD_NAMES[i])
+        else:
+            parts.append("(" + _sum_str(cp) + ")*" + COORD_NAMES[i])
+    return _signed_join(parts)
+
+
+# ---------------------------------------------------------------------------
+# monomials
+#
+# coeff: int, or Fraction when not integral (see _q); so is a 'tc' multiple
+# pows: sorted tuple of (key, exponent) with key one of
+#       ('u', i) | ('p', name) | ('tc', fn, base, rational) | ('f', name, order)
+# expl: linear form, the argument of a single exponential factor
+# trig: sorted tuple of (fn, linform, exponent); at most one positive exponent
+#       survives normalization and it is always 1.
+# ---------------------------------------------------------------------------
+
+
+class Mono(NamedTuple):
+    coeff: Number
+    pows: tuple
+    expl: tuple
+    trig: tuple
+
+    def key(self):
+        return (self.pows, self.expl, self.trig)
+
+
+MONO_ONE = Mono(1, (), LF_ZERO, ())
+
+
+def _mono_sort_key(m: Mono):
+    return _skey((m.pows, m.expl, m.trig))
 
 
 def _tc_reduce(powdict):
@@ -220,180 +319,6 @@ def _tc_reduce(powdict):
                 del d[sin_key]
         out.extend((coeff * c2, d2) for c2, d2 in _tc_reduce(d))
     return out
-
-
-def _cp_norm(terms: Iterable) -> tuple:
-    acc = {}
-    for cmono, coeff in terms:
-        if coeff:
-            acc[cmono] = acc.get(cmono, 0) + coeff
-    return _sorted((m, _q(c)) for m, c in acc.items() if c)
-
-
-def cp_add(a, b):
-    return _cp_norm(list(a) + list(b))
-
-
-def cp_neg(a):
-    return tuple((m, -c) for m, c in a)
-
-
-def cp_scale(a, r: Number):
-    if not r:
-        return CP_ZERO
-    return _cp_norm((m, c * r) for m, c in a)
-
-
-def cp_mul(a, b):
-    terms = []
-    for ma, ca in a:
-        for mb, cb in b:
-            d = dict(ma)
-            for key, e in mb:
-                e2 = d.get(key, 0) + e
-                if e2:
-                    d[key] = e2
-                else:
-                    del d[key]
-            for extra, d2 in _tc_reduce(d):
-                terms.append((_sorted(d2.items()), ca * cb * extra))
-    return _cp_norm(terms)
-
-
-def cp_from_rat(r: Number):
-    return (((), _q(Fraction(r))),) if r else CP_ZERO
-
-
-def cp_rational(a) -> Optional[Fraction]:
-    """The value of a cpoly if it is a plain rational, else None."""
-    if not a:
-        return Fraction(0)
-    if len(a) == 1 and a[0][0] == ():
-        return Fraction(a[0][1])
-    return None
-
-
-def _cp_lead_sign(a) -> int:
-    return 1 if a[0][1] > 0 else -1
-
-
-def _cp_eval(a, binding: Callable[[tuple], float]) -> float:
-    total = 0.0
-    for cmono, coeff in a:
-        v = float(coeff)
-        for key, e in cmono:
-            v *= binding(key) ** e
-        total += v
-    return total
-
-
-def _signed_join(parts) -> str:
-    """Terms joined by ' + ' and ' - ', a leading '-' becoming the operator;
-    "0" when there are none."""
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
-
-
-def _cp_str(a) -> str:
-    parts = []
-    for cmono, coeff in a:
-        factors = [_factor_str(key, e) for key, e in cmono]
-        if coeff == 1 and factors:
-            s = "*".join(factors)
-        elif coeff == -1 and factors:
-            s = "-" + "*".join(factors)
-        else:
-            s = _rat_str(coeff) + ("*" + "*".join(factors) if factors else "")
-        parts.append(s)
-    return _signed_join(parts)
-
-
-# ---------------------------------------------------------------------------
-# linear forms in the coordinates, with cpoly coefficients and no constant
-# part (constant pieces of trig arguments are split off at construction).
-# ---------------------------------------------------------------------------
-
-LF_ZERO = (CP_ZERO,) * NCOORDS
-
-
-def lf_add(a, b):
-    # the operands are canonical, so adding the zero form returns the other;
-    # in _mono_mul almost every operand is zero (no exp factor)
-    if b == LF_ZERO:
-        return a
-    if a == LF_ZERO:
-        return b
-    return tuple(cp_add(x, y) for x, y in zip(a, b))
-
-
-def lf_neg(a):
-    return tuple(cp_neg(x) for x in a)
-
-
-def lf_is_zero(a) -> bool:
-    return all(not x for x in a)
-
-
-def _lf_norm_sign(a):
-    """Canonical sign for trig arguments: returns (sign, normalized form)."""
-    for cp in a:
-        if cp:
-            if _cp_lead_sign(cp) < 0:
-                return -1, lf_neg(a)
-            return 1, a
-    return 1, a
-
-
-def _lf_str(a) -> str:
-    parts = []
-    for i, cp in enumerate(a):
-        if not cp:
-            continue
-        r = cp_rational(cp)
-        if r == 1:
-            parts.append(COORD_NAMES[i])
-        elif r == -1:
-            parts.append("-" + COORD_NAMES[i])
-        elif r is not None:
-            parts.append(_rat_str(r) + "*" + COORD_NAMES[i])
-        elif len(cp) == 1:
-            parts.append(_cp_str(cp) + "*" + COORD_NAMES[i])
-        else:
-            parts.append("(" + _cp_str(cp) + ")*" + COORD_NAMES[i])
-    return _signed_join(parts)
-
-
-# ---------------------------------------------------------------------------
-# monomials
-#
-# coeff: int, or Fraction when not integral (see _q); so is a 'tc' multiple
-# pows: sorted tuple of (key, exponent) with key one of
-#       ('u', i) | ('p', name) | ('tc', fn, base, rational) | ('f', name, order)
-# expl: linear form, the argument of a single exponential factor
-# trig: sorted tuple of (fn, linform, exponent); at most one positive exponent
-#       survives normalization and it is always 1.
-# ---------------------------------------------------------------------------
-
-
-class Mono(NamedTuple):
-    coeff: Number
-    pows: tuple
-    expl: tuple
-    trig: tuple
-
-    def key(self):
-        return (self.pows, self.expl, self.trig)
-
-
-MONO_ONE = Mono(1, (), LF_ZERO, ())
-
-
-def _mono_sort_key(m: Mono):
-    return _skey((m.pows, m.expl, m.trig))
 
 
 def _expand_raw(coeff, powdict, expl, trigdict):
@@ -476,7 +401,7 @@ def _mono_mul(a: Mono, b: Mono):
 def _mono_inv(m: Mono) -> Mono:
     pows = tuple((k, -e) for k, e in m.pows)
     trig = tuple((fn, lf, -e) for fn, lf, e in m.trig)
-    return Mono(_ONE / m.coeff, pows, lf_neg(m.expl), trig)
+    return Mono(_q(_ONE / m.coeff), pows, lf_neg(m.expl), trig)
 
 
 def _sum_scale(xs, c):
@@ -718,7 +643,7 @@ def _linear_parts(e: Expr):
     """
     if e.den != SUM_ONE:
         raise UnsupportedExpressionError("argument must be polynomial, not a quotient")
-    lf = list(LF_ZERO)
+    lf = [[] for _ in range(NCOORDS)]
     const_acc = {}
     for m in e.num:
         if m.trig or not lf_is_zero(m.expl):
@@ -729,25 +654,24 @@ def _linear_parts(e: Expr):
             raise UnsupportedExpressionError("abstract functions cannot appear in exp/sin/cos arguments")
         if len(coords) > 1 or (coords and coords[0][1] != 1):
             raise UnsupportedExpressionError("argument must be linear in the coordinates")
-        cmono = _sorted(others)
+        factors = _sorted(others)
         if coords:
-            i = coords[0][0][1]
-            lf[i] = cp_add(lf[i], ((cmono, m.coeff),))
+            lf[coords[0][0][1]].append(Mono(m.coeff, factors, LF_ZERO, ()))
         else:
-            const_acc[cmono] = const_acc.get(cmono, 0) + m.coeff
+            const_acc[factors] = const_acc.get(factors, 0) + m.coeff
     pieces = []
-    for cmono, r in const_acc.items():
+    for factors, r in const_acc.items():
         if not r:
             continue
-        if cmono == ():
+        if factors == ():
             pieces.append((r, ""))
-        elif len(cmono) == 1 and cmono[0][0][0] == "p" and cmono[0][1] == 1:
-            pieces.append((r, cmono[0][0][1]))
+        elif len(factors) == 1 and factors[0][0][0] == "p" and factors[0][1] == 1:
+            pieces.append((r, factors[0][0][1]))
         else:
             raise UnsupportedExpressionError(
                 "constant part of a trig/exp argument must be rational or a rational multiple of a single parameter"
             )
-    return tuple(lf), pieces
+    return tuple(_combine(cp) for cp in lf), pieces
 
 
 def exp(e: Expr) -> Expr:
@@ -823,27 +747,22 @@ def _mono_diff(m: Mono, i: int):
             d[key] = e - 1
             d[up] = d.get(up, 0) + 1
             out.extend(_expand_raw(m.coeff * e, d, m.expl, dict(base_trig)))
-    ci = m.expl[i]
-    if ci:
-        for cmono, r in ci:
-            d = dict(pows)
-            for key, e in cmono:
-                d[key] = d.get(key, 0) + e
-            out.extend(_expand_raw(m.coeff * r, d, m.expl, dict(base_trig)))
+    for c in m.expl[i]:
+        d = dict(pows)
+        for key, e in c.pows:
+            d[key] = d.get(key, 0) + e
+        out.extend(_expand_raw(m.coeff * c.coeff, d, m.expl, dict(base_trig)))
     for fn, lf, e in m.trig:
-        ci = lf[i]
-        if not ci:
-            continue
         other = "cos" if fn == "sin" else "sin"
         sgn = 1 if fn == "sin" else -1
-        for cmono, r in ci:
+        for c in lf[i]:
             d = dict(pows)
-            for key, ex in cmono:
+            for key, ex in c.pows:
                 d[key] = d.get(key, 0) + ex
             trig = dict(base_trig)
             trig[(fn, lf)] -= 1
             trig[(other, lf)] = trig.get((other, lf), 0) + 1
-            out.extend(_expand_raw(m.coeff * e * sgn * r, d, m.expl, trig))
+            out.extend(_expand_raw(m.coeff * e * sgn * c.coeff, d, m.expl, trig))
     return out
 
 
@@ -940,14 +859,23 @@ class Assignment:
 
 
 def _lf_eval(lf, a: Assignment) -> float:
-    return sum(_cp_eval(cp, a._factor) * a.coords[i] for i, cp in enumerate(lf) if cp)
+    terms = []
+    for i, cp in enumerate(lf):
+        if cp:
+            # summed from 0.0 left to right, not with fsum, as the compiled
+            # kernels of ``numeric_lines`` add it
+            c = 0.0
+            for m in cp:
+                c += _mono_eval(m, a)
+            terms.append(c * a.coords[i])
+    return sum(terms)
 
 
 def _mono_eval(m: Mono, a: Assignment) -> float:
     v = float(m.coeff)
     for key, e in m.pows:
         v *= a._factor(key) ** e
-    if not lf_is_zero(m.expl):
+    if m.expl != LF_ZERO:
         v *= math.exp(_lf_eval(m.expl, a))
     for fn, lf, e in m.trig:
         x = _lf_eval(lf, a)
@@ -981,8 +909,8 @@ def free_symbols(e: Expr):
         for i, cp in enumerate(lf):
             if cp:
                 coords.add(i)
-                for cmono, _ in cp:
-                    for key, _e in cmono:
+                for c in cp:
+                    for key, _e in c.pows:
                         if key[0] == "p":
                             params.add(key[1])
                         elif key[0] == "tc" and key[2]:
@@ -1149,21 +1077,12 @@ def substitute(
                 func_cache[(name, order)] = differentiate(func_value(name, order - 1), 0)
         return func_cache[(name, order)]
 
-    def rebuild_cp(cp) -> Expr:
-        out = ZERO
-        for cmono, r in cp:
-            term = number(r)
-            for key, ex in cmono:
-                term = term * rebuild_key(key) ** ex
-            out = out + term
-        return out
-
     def rebuild_lf(lf) -> Expr:
         out = ZERO
         for i, cp in enumerate(lf):
             if cp:
                 base = coords.get(i, coord(i))
-                out = out + rebuild_cp(cp) * base
+                out = out + rebuild_sum(cp) * base
         return out
 
     def rebuild_key(key) -> Expr:
@@ -1270,22 +1189,8 @@ def numeric_lines(
             f"cannot compile factor {key!r}: bind it via param_values or symbols"
         )
 
-    def cp_src(cp) -> str:
-        parts = []
-        for cmono, r in cp:
-            v = float(r)
-            srcs = []
-            for key, e in cmono:
-                c, s = factor_src(key, e)
-                if c is not None:
-                    v *= c
-                else:
-                    srcs.append(s)
-            parts.append("*".join([repr(v)] + srcs))
-        return "+".join(parts) if parts else "0.0"
-
     def lf_src(lf) -> str:
-        parts = [f"({cp_src(cp)})*u{i}" for i, cp in enumerate(lf) if cp]
+        parts = [f"({sum_src(cp)})*u{i}" for i, cp in enumerate(lf) if cp]
         return "+".join(parts) if parts else "0.0"
 
     def mono_src(m: Mono) -> str:
@@ -1577,6 +1482,17 @@ def _mono_str(m: Mono) -> str:
     if coeff == -1:
         return "-" + body
     return _rat_str(coeff) + "*" + body
+
+
+def _signed_join(parts) -> str:
+    """Terms joined by ' + ' and ' - ', a leading '-' becoming the operator;
+    "0" when there are none."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 def _sum_str(monos) -> str:

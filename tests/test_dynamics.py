@@ -492,10 +492,10 @@ def _unhoisted_compile(exprs, param_values=None, symbols=()):
 
     def cp_src(cp):
         parts = []
-        for cmono, r in cp:
-            v = float(r)
+        for m in cp:
+            v = float(m.coeff)
             srcs = []
-            for key, e in cmono:
+            for key, e in m.pows:
                 c, s = factor_src(key, e)
                 if c is not None:
                     v *= c

@@ -1,6 +1,7 @@
 """Residual checks for admissible electromagnetic fields."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,6 +159,15 @@ class TestSecondOrderConditions:
         point = catalog.random_model_assignment(m, rng, symbols=checker.required_symbols())
         r1, r2 = kgf_extra_residual_at(m.metric, m.potential, m.frame[0], point)
         assert abs(r1) < 1e-8 and abs(r2) < 1e-8
+
+    def test_tiny_u0_component_is_not_a_generator(self, models, rng):
+        # 1e-15 evaluates below any float threshold; the test is exact
+        m = models["I"]
+        checker = KgfChecker(m.metric, m.potential)
+        point = catalog.random_model_assignment(m, rng, symbols=checker.required_symbols())
+        X = VectorField.make(Fraction(1, 10**15), 1, 0, 0)
+        with pytest.raises(ex.InputError, match="zero u0 component"):
+            kgf_extra_residual_at(m.metric, m.potential, X, point)
 
     def test_all_models_small_residuals(self, models, rng):
         for m in models.values():

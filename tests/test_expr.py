@@ -247,7 +247,10 @@ class TestIsZero:
         monkeypatch.setattr(ex, "random_assignment", counted_draw)
         monkeypatch.setattr(ex, "_mono_eval", counted_eval)
         is_zero(e)
-        per_sample = len(e.num) + (len(e.den) if e.den != ex.SUM_ONE else 0)
+        monos = e.num + (e.den if e.den != ex.SUM_ONE else ())
+        # the monomials of a linear-form coefficient are evaluated with the
+        # monomial that holds them
+        per_sample = len(monos) + sum(map(len, _linear_coefficients(monos)))
         assert draws and len(evals) == len(draws) * per_sample
 
 
@@ -503,20 +506,20 @@ def _exact(value, expected):
 
 class TestExactDivision:
     def test_cp_invert_of_an_integer(self):
-        ((mono, c),) = cp_invert(ex.cp_from_rat(3))
-        assert mono == ()
-        _exact(c, Fraction(1, 3))
+        (m,) = cp_invert(ex.cp_from_rat(3))
+        assert m.pows == ()
+        _exact(m.coeff, Fraction(1, 3))
 
     def test_cp_invert_of_a_single_term(self):
-        ((mono, c),) = cp_invert(((((("p", "k"), 1),), 3),))
-        assert mono == ((("p", "k"), -1),)
-        _exact(c, Fraction(1, 3))
+        (m,) = cp_invert((3 * ex.param("k")).num)
+        assert m.pows == ((("p", "k"), -1),)
+        _exact(m.coeff, Fraction(1, 3))
 
     def test_cp_invert_of_a_unit_fraction_is_an_int(self):
-        ((_mono, c),) = cp_invert(ex.cp_from_rat(Fraction(1, 3)))
-        _exact(c, 3)
-        ((_mono, c),) = cp_invert(((((("p", "k"), 2),), Fraction(-1, 4)),))
-        _exact(c, -4)
+        (m,) = cp_invert(ex.cp_from_rat(Fraction(1, 3)))
+        _exact(m.coeff, 3)
+        (m,) = cp_invert((Fraction(-1, 4) * ex.param("k") ** 2).num)
+        _exact(m.coeff, -4)
 
     def test_number_quotient(self):
         q = ex.number(1) / ex.number(3)
@@ -543,8 +546,8 @@ class TestExactDivision:
     def test_power_rule_and_square_root(self):
         (m,) = antiderivative(parse("u1^2"), 1).num
         _exact(m.coeff, Fraction(1, 3))
-        ((_mono, c),) = cp_sqrt(ex.cp_from_rat(Fraction(4, 9)))
-        _exact(c, Fraction(2, 3))
+        (m,) = cp_sqrt(ex.cp_from_rat(Fraction(4, 9)))
+        _exact(m.coeff, Fraction(2, 3))
 
     def test_public_rationals_stay_fractions(self):
         for value in (ex.number(3).as_rational(), ex.ZERO.as_rational(),
@@ -569,13 +572,13 @@ def test_antiderivative_round_trip(m, lam, trig):
 
 def _stored_rationals(e):
     """Every rational held by the canonical form of ``e``: monomial
-    coefficients, the cpoly coefficients of exp and trig linear forms, and
-    the multiples of constant-angle factors."""
+    coefficients, the coefficients of the monomial sums in exp and trig
+    linear forms, and the multiples of constant-angle factors."""
     def angles(pows):
         return [key[3] for key, _n in pows if key[0] == "tc"]
 
     def linear(lf):
-        return [x for cp in lf for cmono, c in cp for x in [c] + angles(cmono)]
+        return [x for cp in lf for c in cp for x in [c.coeff] + angles(c.pows)]
 
     out = []
     for m in e.num + e.den:
@@ -634,6 +637,61 @@ def test_catalog_coefficients_are_normalized(models, corpus):
     for tag in ("I", "II", "III", "IV", "V", "VI", "VII"):
         for e in solver.solve_solvable(tag).components.values():
             _assert_normalized(e)
+
+
+# ---------------------------------------------------------------------------
+# linear-form coefficients: the canonical monomial sums of constants
+# ---------------------------------------------------------------------------
+
+
+def _linear_coefficients(monos):
+    """Every coefficient sum stored in the exp and trig linear forms of the
+    monomials."""
+    out = []
+    for m in monos:
+        out += m.expl
+        for _fn, lf, _n in m.trig:
+            out += lf
+    return out
+
+
+def test_linear_form_coefficient_is_the_constant_sum():
+    (m,) = ex.exp(parse("sin(alpha)*u3")).num
+    assert m.expl[3] == parse("sin(alpha)").num
+
+
+def test_linear_form_coefficients_sort_by_factors_first():
+    # a rational coefficient sorts before a parameter one, whatever the values
+    assert str(parse("exp(k*u1) + exp(2*u1)")) == "exp(2*u1) + exp(k*u1)"
+    assert str(parse("sin(k*u1) + sin(2*u1)")) == "sin(2*u1) + sin(k*u1)"
+    assert str(parse("exp(3*k*u1) + exp((k + 2)*u1) + exp(-k*u1)")) == (
+        "exp((2 + k)*u1) + exp(-k*u1) + exp(3*k*u1)"
+    )
+
+
+@st.composite
+def _symbolic_linear_forms(draw):
+    lf = ex.number(0)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        lf = lf + draw(_constants) * draw(_coords)
+    return lf
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=_symbolic_linear_forms(), b=_symbolic_linear_forms(), i=st.integers(min_value=0, max_value=3))
+def test_linear_form_coefficients_are_canonical_constant_sums(a, b, i):
+    e = ex.exp(a) * ex.sin(b) + ex.cos(a - b) * ex.param("k")
+    results = [
+        e,
+        e * e,
+        differentiate(e, i),
+        ex.substitute(e, params={"k": Fraction(1, 2)}, coords={i: 2 * ex.coord(3)}),
+    ]
+    for r in results:
+        for c in _linear_coefficients(r.num + r.den):
+            assert ex._combine(c) == c, str(r)
+            assert ex.Expr(c).is_constant(), str(r)
+        _assert_normalized(r)
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,9 @@ def _factor(key):
     raise AssertionError(f"unknown factor {key!r}")
 
 
-def _cpoly(cp):
-    return sympy.Add(*[_rat(c) * sympy.Mul(*[_factor(k) ** n for k, n in cm]) for cm, c in cp])
-
-
 def _linform(lf):
-    return sympy.Add(*[_cpoly(cp) * U[i] for i, cp in enumerate(lf) if cp])
+    # each coefficient is a sum of constant monomials
+    return sympy.Add(*[sympy.Add(*map(_monomial, cp)) * U[i] for i, cp in enumerate(lf) if cp])
 
 
 def _monomial(m):

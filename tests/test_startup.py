@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 
@@ -119,6 +121,33 @@ def test_runaway_simulate_exits_2_with_one_error_line(tmp_path):
     )
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
+# runs `main` on argv[2:] with the module named in argv[1] made unimportable
+_MAIN_WITHOUT = """
+import sys
+sys.modules[sys.argv[1]] = None
+from symlab import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--group", "I", "--samples", "1"], ["simulate", "--group", "I", "--tau", "0.1"]],
+    ids=["verify", "simulate"],
+)
+def test_numeric_commands_without_numpy_exit_2_with_one_error_line(argv):
+    done = _python("-c", _MAIN_WITHOUT, "numpy", *argv, check=False)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "numpy" in done.stderr and done.stdout == ""
+
+
+def test_other_missing_module_keeps_its_traceback():
+    done = _python("-c", _MAIN_WITHOUT, "symlab.dynamics", "simulate", "--group", "I", check=False)
+    assert done.returncode == 1
+    assert "Traceback" in done.stderr and "symlab.dynamics" in done.stderr, done.stderr
 
 
 def test_report_clock_starts_after_numpy_is_loaded():
