@@ -3,9 +3,15 @@
 Each model bundles a generator frame, frame-derived structure constants, an
 invariant metric built from an invariant coframe, the admissible potential
 in the A_0 = 0 gauge, the induced field tensor, and the three motion
-integrals.  The frame is the source of truth: printed tables that fail the
-bracket, Jacobi, or exterior-derivative checks are recorded as errata with a
-reproducible evidence check rather than silently transcribed.
+integrals.  Types I-VII share one frame, xi1 = d1, xi2 = d2 and
+xi3 = (M u).(d1, d2) + s d3 with u = (u1, u2), and differ in the 2x2 matrix
+M and the sign s; VIII and IX are written out.  Every potential is
+A = c_a(u0) omega^a on the invariant coframe omega^a, with one row of
+coefficients c_a per type, so L_xi A = 0 for every generator: the catalog
+gauge is the invariant gauge.  The frame is the source of truth: printed
+tables that fail the bracket, Jacobi, or exterior-derivative checks are
+recorded as errata with a reproducible evidence check rather than silently
+transcribed.
 """
 
 from __future__ import annotations
@@ -124,113 +130,59 @@ def _vf(c1: str, c2: str, c3: str) -> VectorField:
     return VectorField.spatial(parse(c1), parse(c2), parse(c3))
 
 
-def _translation_frame(k: Fraction, n: Fraction, eps: Fraction):
-    """Generators (d1, d2, (k u1 + eps u2) d1 + n u2 d2 - d3)."""
-    u1, u2 = ex.coord(1), ex.coord(2)
-    third = VectorField.spatial(
-        ex.number(k) * u1 + ex.number(eps) * u2, ex.number(n) * u2, ex.number(-1)
-    )
-    return (_vf("1", "0", "0"), _vf("0", "1", "0"), third)
+# (k, n, eps) of types I-V, whose third generator is
+# (k u1 + eps u2) d1 + n u2 d2 - d3; type VI has (1, q, 0)
+_KNE = {"I": (0, 0, 0), "II": (0, 0, 1), "III": (1, 0, 0), "IV": (1, 1, 1), "V": (1, 1, 0)}
 
 
-def _solvable_params(tag: str, q: Fraction):
-    table = {
-        "I": (0, 0, 0),
-        "II": (0, 0, 1),
-        "III": (1, 0, 0),
-        "IV": (1, 1, 1),
-        "V": (1, 1, 0),
-    }
-    if tag in table:
-        k, n, eps = table[tag]
-        return Fraction(k), Fraction(n), Fraction(eps)
+def _params_for(tag: str, q: Fraction) -> Dict[str, object]:
+    if tag in _KNE:
+        return dict(zip(("k", "n", "eps"), map(Fraction, _KNE[tag])))
     if tag == "VI":
-        return Fraction(1), Fraction(q), Fraction(0)
-    raise InputError(tag)
-
-
-def _frame_for(tag: str, q: Fraction):
-    if tag in ("I", "II", "III", "IV", "V", "VI"):
-        return _translation_frame(*_solvable_params(tag, q))
+        return {"k": Fraction(1), "n": Fraction(q), "eps": Fraction(0), "q": Fraction(q)}
     if tag == "VII":
-        return (
-            _vf("1", "0", "0"),
-            _vf("0", "1", "0"),
-            _vf("-u2", "2*cos(alpha)*u2 + u1", "1"),
-        )
+        return {"alpha": "symbolic", "q": "2*cos(alpha)"}
+    return {}
+
+
+def _solvable_frame(M, s):
+    """Generators (d1, d2, (M u).(d1, d2) + s d3) with u = (u1, u2)."""
+    u1, u2 = ex.coord(1), ex.coord(2)
+    Mu = [row[0] * u1 + row[1] * u2 for row in M]
+    return (_vf("1", "0", "0"), _vf("0", "1", "0"), VectorField.spatial(*Mu, s))
+
+
+def _frame_for(tag: str, params: Dict[str, object]):
+    if tag == "VII":
+        return _solvable_frame([[0, -1], [1, parse("2*cos(alpha)")]], 1)
+    if tag in SOLVABLE:
+        return _solvable_frame([[params["k"], params["eps"]], [0, params["n"]]], -1)
     if tag == "VIII":
         return (
             _vf("0", "1", "0"),
             _vf("0", "u2", "1"),
             _vf("exp(u3)", "u2^2", "2*u2"),
         )
-    if tag == "IX":
-        return (
-            _vf("0", "1", "0"),
-            _vf(
-                "cos(u2)",
-                "-cos(u1)*sin(u2)/sin(u1)",
-                "sin(u2)/sin(u1)",
-            ),
-            _vf(
-                "-sin(u2)",
-                "-cos(u1)*cos(u2)/sin(u1)",
-                "cos(u2)/sin(u1)",
-            ),
-        )
-    raise InputError(f"unknown type tag {tag!r}")
+    return (
+        _vf("0", "1", "0"),
+        _vf("cos(u2)", "-cos(u1)*sin(u2)/sin(u1)", "sin(u2)/sin(u1)"),
+        _vf("-sin(u2)", "-cos(u1)*cos(u2)/sin(u1)", "cos(u2)/sin(u1)"),
+    )
 
 
-def _potential_for(tag: str, q: Fraction) -> Potential:
+def _coefficients(tag: str) -> Tuple[Expr, Expr, Expr]:
+    """The c_a(u0) of the catalog potential A = c_a omega^a; types I-VI
+    share the row (alpha0, beta0, gamma0)."""
     a0, b0, g0 = ex.func("alpha0"), ex.func("beta0"), ex.func("gamma0")
-    u1, u3 = ex.coord(1), ex.coord(3)
-    e3 = ex.exp(u3)
-    if tag == "I":
-        return Potential.make(0, a0, b0, g0)
-    if tag == "II":
-        return Potential.make(0, a0, a0 * u3 + b0, g0)
-    if tag == "III":
-        return Potential.make(0, a0 * e3, b0, g0)
-    if tag == "IV":
-        return Potential.make(0, a0 * e3, (a0 * u3 + b0) * e3, g0)
-    if tag == "V":
-        return Potential.make(0, a0 * e3, b0 * e3, g0)
-    if tag == "VI":
-        return Potential.make(0, a0 * e3, b0 * ex.exp(ex.number(q) * u3), g0)
-    if tag == "VII":
-        damp = parse("exp(-cos(alpha)*u3)")
-        a1 = (
-            a0 * parse("sin(sin(alpha)*u3 + alpha)")
-            + b0 * parse("cos(sin(alpha)*u3 + alpha)")
-        ) * damp
-        a2 = (a0 * parse("sin(sin(alpha)*u3)") + b0 * parse("cos(sin(alpha)*u3)")) * damp
-        return Potential.make(0, a1, a2, g0)
-    if tag == "VIII":
-        em = ex.exp(-u3)
-        return Potential.make(
-            0,
-            a0,
-            (a0 * u1 * u1 + 2 * b0 * u1 + g0) * em,
-            -(a0 * u1 + b0),
-        )
-    if tag == "IX":
+    rows = {
+        "VII": (a0 * parse("sin(alpha)") + b0 * parse("cos(alpha)"), b0, g0),
+        "VIII": (a0, g0, -b0),
         # gamma0 is set to zero here; on the invariant form
         # omega^3 = cos(u1) du2 + du3 it would be admissible as well (the
         # solver keeps it), see the type-IX errata note
-        s1, s3, c3 = ex.sin(u1), ex.sin(u3), ex.cos(u3)
-        return Potential.make(0, a0 * c3 - b0 * s3, (a0 * s3 + b0 * c3) * s1, 0)
-    raise InputError(f"unknown type tag {tag!r}")
-
-
-def _params_for(tag: str, q: Fraction) -> Dict[str, object]:
-    if tag in ("I", "II", "III", "IV", "V"):
-        k, n, eps = _solvable_params(tag, q)
-        return {"k": k, "n": n, "eps": eps}
-    if tag == "VI":
-        return {"k": Fraction(1), "n": Fraction(q), "eps": Fraction(0), "q": Fraction(q)}
-    if tag == "VII":
-        return {"alpha": "symbolic", "q": "2*cos(alpha)"}
-    return {}
+        "IX": (a0, b0, ex.number(0)),
+    }
+    return rows.get(tag, (a0, b0, g0))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +363,7 @@ def _check_ii_system_sign() -> bool:
 
 
 def _check_iii_parameter_typo() -> bool:
-    frame = _translation_frame(Fraction(0), Fraction(0), Fraction(0))
+    frame = _solvable_frame([[0, 0], [0, 0]], -1)
     degenerate = structure_constants_from_frame(frame)
     derived = get_model("III").constants
     return degenerate != derived and bool(derived.nonzero_entries())
@@ -480,7 +432,7 @@ def _check_ix_potential() -> bool:
     good = admissibility_residual(model.potential, model.field, model.frame[1])
     good_passes = all(is_zero(r) for r in good)
     # the same function on the invariant form omega^3 is admissible
-    kept = Potential.make(0, *(ex.func("gamma0") * c for c in model.coframe.forms[2]))
+    kept = Potential.on_coframe(model.coframe, (0, 0, ex.func("gamma0")))
     kept_field = field_from_potential(kept)
     kept_passes = all(
         is_zero(r) for X in model.frame for r in admissibility_residual(kept, kept_field, X)
@@ -539,10 +491,11 @@ def get_model(type_tag: str, q=None) -> BianchiModel:
     if key in _CACHE:
         return _CACHE[key]
 
-    frame = _frame_for(tag, qv)
+    params = _params_for(tag, qv)
+    frame = _frame_for(tag, params)
     coframe = invariant_coframe(frame)
     metric = metric_from_coframe(coframe)
-    params, potential = _params_for(tag, qv), _potential_for(tag, qv)
+    potential = Potential.on_coframe(coframe, _coefficients(tag))
     model = build_model(tag, params, frame, coframe, metric, potential, _errata_for(tag))
     _CACHE[key] = model
     return model

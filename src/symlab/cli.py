@@ -134,9 +134,12 @@ def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> 
     What ``build_model`` derives is not checked again: the structure
     constants come from the frame (a frame that does not close is a load
     error), the field is F = dA and each integral's gamma is -xi . A.
-    Killing, admissibility and the algebraic constraints are the
-    independent checks; field invariance and the second-order scalar
-    conditions follow from them and stay as cross-checks on other code.
+    Killing and admissibility are the independent checks; admissibility
+    tests L_xi A = 0 in the potential's own gauge (ROADMAP direction 11
+    gives the gauge-free form).  The algebraic constraints, field
+    invariance and the second-order scalar conditions follow from them and
+    stay as cross-checks on other code: with the constants from the frame,
+    the constraint residual is xi_b . (L_xi_a A).
     """
     if samples < 1:
         # the sampled checks would pass with no point evaluated
@@ -508,6 +511,16 @@ def _cmd_errata(args) -> int:
     return 0
 
 
+def _fraction(text: str) -> Fraction:
+    """``Fraction`` as an argparse type: '1/0' raises ZeroDivisionError, which
+    argparse would not report as a usage error, so it gets the message that
+    argparse gives a ValueError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="symlab",
@@ -525,7 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("solve", help="closed-form field family of a type")
     p.add_argument("--group", required=True, help="I..IX")
-    p.add_argument("--q", type=Fraction, default=None, help="free constant of type VI")
+    p.add_argument("--q", type=_fraction, default=None, help="free constant of type VI")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_solve)
 

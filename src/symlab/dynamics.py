@@ -203,6 +203,10 @@ class ModelInstance:
     params: Dict[str, float]
 
     def __post_init__(self):
+        # the kernel differentiates the bound functions in u0 alone
+        for name, e in self.bindings.items():
+            if free_symbols(e)["coords"] - {0}:
+                raise InputError(f"binding {name} = {e} is not a function of u0 alone")
         entries = self._entries()
         needed = set()
         for e in entries.values():

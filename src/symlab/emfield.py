@@ -19,7 +19,7 @@ from typing import Sequence, Tuple
 
 from . import expr as ex
 from .expr import Expr, Assignment, differentiate, evaluate, free_symbols, is_zero
-from .geometry import Metric, StructureConstants, VectorField, _lie_derivative
+from .geometry import Coframe, Metric, StructureConstants, VectorField, _lie_derivative
 
 __all__ = [
     "Potential",
@@ -46,6 +46,18 @@ class Potential:
     @staticmethod
     def make(a0, a1, a2, a3) -> "Potential":
         return Potential(tuple(ex.Expr._coerce(c) for c in (a0, a1, a2, a3)))
+
+    @staticmethod
+    def on_coframe(coframe: Coframe, coeffs) -> "Potential":
+        """A = c_a omega^a with A_0 = 0, for coefficients c_a of the forms
+        omega^a of the coframe."""
+        zero = ex.number(0)
+        A = [zero, zero, zero]
+        for c, form in zip(coeffs, coframe.forms):
+            for i in range(3):
+                if c and form[i]:
+                    A[i] = A[i] + c * form[i]
+        return Potential((zero,) + tuple(A))
 
     def __getitem__(self, i: int) -> Expr:
         return self.components[i]

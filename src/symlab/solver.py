@@ -18,6 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import expr as ex
 from .expr import Expr, differentiate, is_zero
 from ._symint import antiderivative, definite_integral, row_reduce
+from .catalog import get_model
 from .geometry import (
     StructureConstants,
     VectorField,
@@ -148,18 +149,12 @@ def solve_solvable(type_tag: str, q=None) -> SolutionFamily:
     constants that survive dF = 0 without coming from a potential.  ``q`` is
     type VI's free structure constant; any other type rejects it.
     """
-    from .catalog import get_model
-
     model = get_model(type_tag, q=q)
     system = FieldSystem(frame=model.frame, constants=model.constants)
     omega = model.coframe.forms
     zero = ex.number(0)
-    A = [zero, zero, zero, zero]
-    for name, form in zip(_FUNC_POOL, omega):
-        for i in range(3):
-            if form[i]:
-                A[i + 1] = A[i + 1] + ex.func(name) * form[i]
-    comps = field_from_potential(Potential(tuple(A))).upper_components()
+    A = Potential.on_coframe(model.coframe, [ex.func(name) for name in _FUNC_POOL])
+    comps = field_from_potential(A).upper_components()
 
     basis: List[List[Expr]] = []  # independent spatial 2-forms, as rows over _SPATIAL
 
@@ -291,8 +286,6 @@ def catalog_witness(fam: SolutionFamily) -> Dict[str, Expr]:
     """Explicit assignment of the family's free functions reproducing the
     catalog field tensor (free constants at zero): the coefficients of the
     catalog potential in the invariant coframe, A_i = sum_a f_a omega^a_i."""
-    from .catalog import get_model
-
     # recover the free structure constant a type VI family was solved with
     q = fam.system.constants[1, 2, 1].as_rational() if fam.type_tag == "VI" else None
     model = get_model(fam.type_tag, q=q)

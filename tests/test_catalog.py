@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from symlab import catalog, expr as ex
+from symlab import catalog, expr as ex, solver
 from symlab.catalog import get_model, list_models, printed_vs_consistent
 from symlab.emfield import Potential, field_from_potential, gamma_of
 from symlab.expr import is_zero, parse
@@ -111,6 +111,28 @@ class TestGetModel:
     def test_constants_pass_jacobi(self, models):
         for m in models.values():
             assert jacobi_satisfied(m.constants)
+
+
+# the coefficients c_a(u0) of each catalog potential A = c_a omega^a in the
+# invariant coframe, written out here once more; type VI's row holds for every q
+_ROWS = dict.fromkeys(catalog.SOLVABLE, ("alpha0", "beta0", "gamma0"))
+_ROWS.update(
+    VII=("alpha0*sin(alpha) + beta0*cos(alpha)", "beta0", "gamma0"),
+    VIII=("alpha0", "gamma0", "-beta0"),
+    IX=("alpha0", "beta0", "0"),
+)
+
+
+@pytest.mark.parametrize(
+    "tag, q",
+    [(tag, None) for tag in catalog.TAGS]
+    + [("VI", q) for q in (2, 3, -1, Fraction(1, 2), Fraction(-3, 7))],
+)
+def test_coefficient_rows_are_the_solver_witness(tag, q):
+    # catalog_witness solves A_i = f_a omega^a_i for the f_a by Cramer's rule
+    fam = solver.solve_solvable(tag, q)
+    row = [parse(c) for c in _ROWS[tag]]
+    assert solver.catalog_witness(fam) == dict(zip(fam.free_functions, row))
 
 
 class TestErrata:

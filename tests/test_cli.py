@@ -404,6 +404,10 @@ _INPUT_ERRORS = {
     "simulate-inf-tau": (["simulate", "--group", "I", "--tau", "inf"], {}),
     "simulate-nan-tol": (["simulate", "--group", "I", "--tol", "nan"], {}),
     "simulate-zero-max-steps": (["simulate", "--group", "I", "--max-steps", "0"], {}),
+    "simulate-binding-not-of-u0": (
+        ["simulate", "--group", "I", "--bindings", "{dir}/b.manifest"],
+        {"b.manifest": "[bindings]\nalpha0 = u1\n"},
+    ),
 }
 
 
@@ -420,6 +424,16 @@ class TestInputErrors:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("q", ["1/0", "abc"])
+    def test_unreadable_q_is_a_usage_error(self, q, capsys):
+        # Fraction('1/0') raises ZeroDivisionError, which argparse does not catch
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["solve", "--group", "VI", "--q", q])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert f"argument --q: invalid Fraction value: '{q}'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "entry, suffix, extra",
