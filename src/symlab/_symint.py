@@ -1,16 +1,20 @@
 """Closed-form antiderivatives, the exponential of a constant matrix whose
-nonzero entries form one 2x2 block, and exact row reduction.
+nonzero entries form one 2x2 block, and the package's exact linear algebra:
+``det``, ``cramer`` and ``rank`` for matrices of any size, and ``row_reduce``
+for rational ones.
 
-Internal helpers shared by the coframe construction, the structure-constant
-derivation and the field-tensor solver.  Everything stays inside the
-expression engine's closed class: polynomials times one exponential of a
-linear form times at most one sine or cosine of a linear form.  An exact
-scalar -- a linear-form coefficient, or an entry of a constant matrix -- is
-a constant ``Expr``, or the canonical monomial sum it holds as ``num``.
+Internal helpers shared by the metric determinant, the coframe
+construction, the structure-constant derivation and the field-tensor
+solver.  Everything stays inside the expression engine's closed class:
+polynomials times one exponential of a linear form times at most one sine
+or cosine of a linear form.  An exact scalar -- a linear-form coefficient,
+or an entry of a constant matrix -- is a constant ``Expr``, or the
+canonical monomial sum it holds as ``num``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -34,6 +38,7 @@ from .expr import (
     coord,
     cos,
     exp,
+    is_zero,
     number,
     sin,
     substitute,
@@ -281,8 +286,43 @@ def _block_exponential(A, i):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the rationals
+# exact linear algebra
 # ---------------------------------------------------------------------------
+
+
+def det(m: Sequence[Sequence]):
+    """Determinant of a square matrix of ``Expr`` or float entries, by
+    expansion along the first row; a zero entry contributes no minor."""
+    if len(m) == 1:
+        return m[0][0]
+    total = m[0][0] * 0
+    for j, x in enumerate(m[0]):
+        if x:
+            term = x * det([row[:j] + row[j + 1:] for row in m[1:]])
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def cramer(m: Sequence[Sequence], rhs: Sequence, d) -> list:
+    """Solution x of the square system sum_j m[i][j] x_j = rhs[i] by Cramer's
+    rule, where ``d`` is det(m) and is not zero."""
+    n = len(m)
+    return [
+        det([[rhs[i] if c == j else m[i][c] for c in range(n)] for i in range(n)]) / d
+        for j in range(n)
+    ]
+
+
+def rank(m: Sequence[Sequence]) -> int:
+    """Rank of an m x n matrix of ``Expr`` entries at a generic point: the
+    size of its largest minor that is not identically zero."""
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    for size in range(min(n_rows, n_cols), 0, -1):
+        for rows in itertools.combinations(range(n_rows), size):
+            for cols in itertools.combinations(range(n_cols), size):
+                if not is_zero(det([[m[r][c] for c in cols] for r in rows])):
+                    return size
+    return 0
 
 
 def row_reduce(matrix: Sequence[Sequence]) -> tuple:

@@ -23,6 +23,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from . import expr as ex
 from .expr import Expr, FuncSymbol, InputError, free_symbols, is_zero, differentiate, parse
+from ._symint import det
 from .geometry import (
     Coframe,
     Metric,
@@ -35,7 +36,6 @@ from .geometry import (
     lie_bracket,
     metric_from_coframe,
     structure_constants_from_frame,
-    _det3,
 )
 from .emfield import (
     FieldTensor,
@@ -591,5 +591,5 @@ def _random_spatial_matrix(rng):
             [vals["a12"], vals["a22"], vals["a23"]],
             [vals["a13"], vals["a23"], vals["a33"]],
         ]
-        if abs(_det3(m)) > 0.1:  # the cofactor expansion, in floats
+        if abs(det(m)) > 0.1:  # the cofactor expansion, in floats
             return vals

@@ -39,7 +39,6 @@ from .emfield import (
 )
 from . import catalog
 from .catalog import BianchiModel, get_model, random_model_assignment
-from . import solver
 
 __all__ = [
     "Report",
@@ -63,8 +62,7 @@ class ManifestError(Exception):
 
 # input errors: main prints each as one line and exits 2; any other
 # exception is an engine defect and keeps its traceback
-_USER_ERRORS = (ManifestError, ex.ParseError, OSError, ex.InputError,
-                solver.UnsupportedGroupError, ex.IntegrationError)
+_USER_ERRORS = (ManifestError, ex.ParseError, OSError, ex.InputError, ex.IntegrationError)
 
 
 @dataclass
@@ -410,13 +408,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    fam = solver.solve_solvable(args.group, q=args.q)
-    reduced = solver.apply_algebraic_constraints(fam)
+    # only solve needs the solver; verify and export never load it
+    from .solver import PAIRS, apply_algebraic_constraints, solve_solvable
+
+    fam = solve_solvable(args.group, q=args.q)
+    reduced = apply_algebraic_constraints(fam)
     if args.format == "json":
         doc = {
             "schema": REPORT_SCHEMA,
             "model": reduced.type_tag,
-            "family": {f"F{i}{j}": str(reduced.components[(i, j)]) for (i, j) in solver.PAIRS},
+            "family": {f"F{i}{j}": str(reduced.components[(i, j)]) for (i, j) in PAIRS},
             "free_functions": list(reduced.free_functions),
             "free_constants": list(reduced.free_constants),
             "pre_constraint_constants": list(fam.free_constants),

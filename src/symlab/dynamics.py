@@ -272,9 +272,18 @@ class ModelInstance:
 def standard_instance(model: BianchiModel,
                       bindings: Optional[Mapping[str, Expr]] = None) -> ModelInstance:
     """Instance with the deterministic standard bindings (overridable), e = 1
-    and, for type VII, alpha = pi/3."""
+    and, for type VII, alpha = pi/3.  A binding that names none of the
+    model's functions raises InputError."""
     b = standard_bindings()
     if bindings:
+        metric = (model.metric[i, j] for i in range(4) for j in range(i, 4))
+        known = {f.name for e in itertools.chain(metric, model.potential) for f in free_symbols(e)["funcs"]}
+        unknown = sorted(set(bindings) - known)
+        if unknown:
+            raise InputError(
+                f"binding {unknown[0]} names no function of the type {model.type_tag} model"
+                f" (its functions: {', '.join(sorted(known))})"
+            )
         b.update(bindings)
     pr = {"e": 1.0}
     if model.type_tag == "VII":

@@ -3,7 +3,9 @@
 Coordinate ``u0`` is the non-ignorable direction; a three-parameter symmetry
 group acts on the ``u1..u3`` slice, so group generators have vanishing ``u0``
 component.  Invariant metrics are assembled from an invariant coframe with
-abstract coefficient functions of ``u0``.
+abstract coefficient functions of ``u0``.  The exact determinant, Cramer
+solve and rank that the frame and metric code use are ``_symint``'s ``det``,
+``cramer`` and ``rank``.
 
 Only ``metric_sample`` uses numpy, and it loads numpy when it is called, so
 the symbolic machinery runs without it.
@@ -11,12 +13,11 @@ the symbolic machinery runs without it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from . import expr as ex
-from ._symint import fundamental_matrix, row_reduce
+from ._symint import cramer, det, fundamental_matrix, rank, row_reduce
 from .expr import Expr, Assignment, is_zero, differentiate
 
 if TYPE_CHECKING:
@@ -143,36 +144,14 @@ class StructureConstants:
         return "; ".join(parts) if parts else "all zero"
 
 
-def _spatial_matrix(fields: Sequence[VectorField]):
-    return [[fields[a][b + 1] for b in range(3)] for a in range(3)]
-
-
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _det4(g):
-    """Expansion along the first row; a zero entry contributes no minor."""
-    total = ex.number(0)
-    for j in range(4):
-        if g[0][j]:
-            minor = [[g[r][c] for c in range(4) if c != j] for r in (1, 2, 3)]
-            term = g[0][j] * _det3(minor)
-            total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _solve3(m, rhs, det):
-    """Cramer solution of the 3x3 system m[i][j] x_j = rhs_i."""
-    cols = []
-    for j in range(3):
-        mm = [[m[i][j2] if j2 != j else rhs[i] for j2 in range(3)] for i in range(3)]
-        cols.append(_det3(mm) / det)
-    return cols
+def _frame_matrix(fields: Sequence[VectorField]):
+    """Components on d1..d3 of three group generators, one column per
+    generator; anything else raises DegenerateFrameError."""
+    if len(fields) != 3:
+        raise DegenerateFrameError("need exactly three generators")
+    if not all(f.is_group_generator() for f in fields):
+        raise DegenerateFrameError("group generators must have zero u0 component")
+    return [[f[i] for f in fields] for i in (1, 2, 3)]
 
 
 def structure_constants_from_frame(fields: Sequence[VectorField]) -> StructureConstants:
@@ -189,22 +168,17 @@ def structure_constants_from_frame(fields: Sequence[VectorField]) -> StructureCo
     one-dimensional distribution is rejected as degenerate.
     """
     fields = list(fields)
-    if len(fields) != 3:
-        raise DegenerateFrameError("need exactly three generators")
-    for f in fields:
-        if not f.is_group_generator():
-            raise NonClosingFrameError("group generators must have zero u0 component")
-    mat = [[fields[g][i + 1] for g in range(3)] for i in range(3)]
-    det = _det3(mat)
-    invertible = not is_zero(det)
-    if not invertible and _pointwise_rank(mat) < 2:
+    mat = _frame_matrix(fields)
+    d = det(mat)
+    invertible = not is_zero(d)
+    if not invertible and rank(mat) < 2:
         raise DegenerateFrameError("frame collapses to a one-dimensional distribution")
     c = [[[ex.number(0)] * 3 for _ in range(3)] for _ in range(3)]
     for a in range(3):
         for b in range(a + 1, 3):
             br = lie_bracket(fields[a], fields[b])
             if invertible:
-                coeffs = _solve3(mat, [br[i + 1] for i in range(3)], det)
+                coeffs = cramer(mat, [br[i + 1] for i in range(3)], d)
             else:
                 coeffs = _solve_in_span(fields, br, a, b)
             for g in range(3):
@@ -216,23 +190,6 @@ def structure_constants_from_frame(fields: Sequence[VectorField]) -> StructureCo
                 c[a][b][g] = cg
                 c[b][a][g] = -cg
     return StructureConstants(c)
-
-
-def _pointwise_rank(mat) -> int:
-    """Symbolic rank of the 3x3 component matrix (largest nonzero minor)."""
-    for size in (3, 2, 1):
-        for rows in itertools.combinations(range(3), size):
-            for cols in itertools.combinations(range(3), size):
-                if size == 3:
-                    minor = _det3(mat)
-                elif size == 2:
-                    (r1, r2), (c1, c2) = rows, cols
-                    minor = mat[r1][c1] * mat[r2][c2] - mat[r1][c2] * mat[r2][c1]
-                else:
-                    minor = mat[rows[0]][cols[0]]
-                if not is_zero(minor):
-                    return size
-    return 0
 
 
 def _solve_in_span(fields, bracket, a, b):
@@ -401,13 +358,7 @@ def invariant_coframe(fields: Sequence[VectorField]) -> Coframe:
     to satisfy L_X s = 0 for every generator.
     """
     fields = list(fields)
-    if len(fields) != 3:
-        raise DegenerateFrameError("need exactly three generators")
-    for f in fields:
-        if not f.is_group_generator():
-            raise DegenerateFrameError("generators must have zero u0 component")
-    det = _det3(_spatial_matrix(fields))
-    if is_zero(det):
+    if is_zero(det(_frame_matrix(fields))):
         raise DegenerateFrameError("frame is degenerate on the group slice")
 
     translations = {}
@@ -432,7 +383,7 @@ def invariant_coframe(fields: Sequence[VectorField]) -> Coframe:
                 cf = Coframe(tuple(tuple(E[g][a] for g in range(3)) for a in range(3)))
                 if not coframe_is_invariant(cf, fields):
                     raise GeometryError("constructed coframe failed the invariance check")
-                if is_zero(_det3(cf.matrix())):
+                if is_zero(det(cf.matrix())):
                     raise DegenerateFrameError("constructed coframe is degenerate")
                 return cf
 
@@ -470,7 +421,7 @@ class Metric:
 
     def determinant(self) -> Expr:
         if self._det is None:
-            self._det = _det4(self.entries)
+            self._det = det(self.entries)
         return self._det
 
     def determinant_gradient(self) -> Tuple[Expr, ...]:

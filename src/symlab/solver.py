@@ -17,16 +17,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import expr as ex
 from .expr import Expr, differentiate, is_zero
-from ._symint import antiderivative, definite_integral, row_reduce
+from ._symint import antiderivative, cramer, definite_integral, det, rank, row_reduce
 from .catalog import get_model
-from .geometry import (
-    StructureConstants,
-    VectorField,
-    _det3,
-    _pointwise_rank,
-    _solve3,
-    structure_constants_from_frame,
-)
+from .geometry import StructureConstants, VectorField, structure_constants_from_frame
 from .emfield import (
     FieldTensor,
     Potential,
@@ -160,8 +153,7 @@ def solve_solvable(type_tag: str, q=None) -> SolutionFamily:
 
     def extends(row: List[Expr]) -> bool:
         rows = basis + [row]
-        padded = rows + [[zero] * 3] * (3 - len(rows))
-        return len(rows) <= 3 and _pointwise_rank(padded) == len(rows)
+        return len(rows) <= 3 and rank(rows) == len(rows)
 
     for form in omega:
         d_form = field_from_potential(Potential((zero,) + tuple(form)))
@@ -290,5 +282,5 @@ def catalog_witness(fam: SolutionFamily) -> Dict[str, Expr]:
     q = fam.system.constants[1, 2, 1].as_rational() if fam.type_tag == "VI" else None
     model = get_model(fam.type_tag, q=q)
     mat = [[model.coframe.forms[a][i] for a in range(3)] for i in range(3)]
-    coeffs = _solve3(mat, [model.potential[i] for i in (1, 2, 3)], _det3(mat))
+    coeffs = cramer(mat, [model.potential[i] for i in (1, 2, 3)], det(mat))
     return dict(zip(fam.free_functions, coeffs))

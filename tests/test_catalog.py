@@ -80,15 +80,40 @@ class TestGetModel:
             assert (p["k"], p["n"], p["eps"]) == (k, n, eps), tag
         assert models["VII"].params["q"] == "2*cos(alpha)"
 
-    def test_field_is_exterior_derivative(self, models):
+    def test_field_is_exterior_derivative(self, models, rng):
+        # F_ij = d_i A_j - d_j A_i against central differences of the potential,
+        # with concrete functions of u0 bound so that A varies with u0 too
+        bound = {"alpha0": parse("sin(u0)"), "beta0": parse("exp(u0/2)"), "gamma0": parse("u0^2 - u0")}
+        h = 1e-5
         for m in models.values():
-            assert field_from_potential(m.potential) == m.field
+            A = [ex.substitute(c, funcs=bound) for c in m.potential]
+            F = {(i, j): ex.substitute(m.field[i, j], funcs=bound) for i in range(4) for j in range(i + 1, 4)}
+            for _ in range(5):
+                at = catalog.random_model_assignment(m, rng)
+                u, params = at.coords, at.params
 
-    def test_integrals_definition(self, models):
+                def d(i, j):
+                    """d_i A_j by a central difference."""
+                    up = [c + h * (k == i) for k, c in enumerate(u)]
+                    dn = [c - h * (k == i) for k, c in enumerate(u)]
+                    ahead = ex.evaluate(A[j], ex.Assignment(up, params))
+                    return (ahead - ex.evaluate(A[j], ex.Assignment(dn, params))) / (2 * h)
+
+                for (i, j), f in F.items():
+                    want = d(i, j) - d(j, i)
+                    got = ex.evaluate(f, ex.Assignment(u, params))
+                    assert abs(got - want) < 1e-6 * (1.0 + abs(want)), (m.type_tag, i, j, got, want)
+
+    def test_integrals_definition(self, models, rng):
+        # gamma_a = -xi_a^i A_i, evaluated term by term at random points
         for m in models.values():
             for a, integral in enumerate(m.integrals):
                 assert integral.xi == m.frame[a]
-                assert is_zero(integral.gamma - gamma_of(m.frame[a], m.potential))
+                for _ in range(5):
+                    at = catalog.random_model_assignment(m, rng)
+                    want = -sum(ex.evaluate(m.frame[a][i], at) * ex.evaluate(m.potential[i], at) for i in range(4))
+                    got = ex.evaluate(integral.gamma, at)
+                    assert abs(got - want) < 1e-9 * (1.0 + abs(want)), (m.type_tag, a, got, want)
 
     def test_integrals_follow_a_replaced_potential(self, models):
         # criterion 7's perturbed IX: every gamma changes with A2 + u1

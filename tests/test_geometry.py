@@ -140,6 +140,13 @@ class TestStructureConstants:
         with pytest.raises(DegenerateFrameError):
             structure_constants_from_frame([D1, f2, f3])
 
+    @pytest.mark.parametrize("build", [structure_constants_from_frame, invariant_coframe])
+    def test_u0_component_is_one_error_everywhere(self, build):
+        # both frame functions share one check, so the same fault raises alike
+        tilted = VectorField.make(1, 0, 0, 1)
+        with pytest.raises(DegenerateFrameError, match="zero u0 component"):
+            build([D1, D2, tilted])
+
 
 class TestJacobi:
     def test_rotation_algebra(self):
@@ -284,10 +291,14 @@ class TestMetric:
         coupled[0][1] = coupled[1][0] = ex.coord(1)
         assert not is_zero(Metric(coupled, ex.number(0)).determinant())
 
-        def no_det3(_m):
-            raise AssertionError("built the spatial determinant of a zero product")
+        det = _symint.det
 
-        monkeypatch.setattr(geometry, "_det3", no_det3)
+        def no_spatial_det(m):
+            if len(m) == 3:
+                raise AssertionError("built the spatial determinant of a zero product")
+            return det(m)
+
+        monkeypatch.setattr(_symint, "det", no_spatial_det)
         assert Metric(entries, ex.number(0)).determinant() == ex.ZERO
 
     def test_determinant_matches_the_three_branch_formula(self, models):
@@ -323,6 +334,16 @@ class TestMetric:
                 assert abs(0.5 * dv - sample.chi_grad[i]) < 1e-6, (m.type_tag, i)
 
 
+def _det3(m):
+    """The 3x3 cofactor formula, written out so the reference does not use
+    the determinant it checks."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
 def _three_branch_determinant(g):
     """Reference: the full first-row expansion when some g0a is nonzero, g00
     itself when it is zero, and otherwise g00 times the spatial determinant."""
@@ -330,12 +351,12 @@ def _three_branch_determinant(g):
         total = ex.number(0)
         for j in range(4):
             minor = [[g[r][c] for c in range(4) if c != j] for r in (1, 2, 3)]
-            term = g[0][j] * geometry._det3(minor)
+            term = g[0][j] * _det3(minor)
             total = total + term if j % 2 == 0 else total - term
         return total
     if not g[0][0]:
         return g[0][0]
-    return g[0][0] * geometry._det3([[g[i][j] for j in range(1, 4)] for i in range(1, 4)])
+    return g[0][0] * _det3([[g[i][j] for j in range(1, 4)] for i in range(1, 4)])
 
 
 # third generator (X1, X2, X3) next to d1 and d2 -> the printed invariant coframe

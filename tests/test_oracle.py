@@ -11,7 +11,10 @@ as the engine treats them.
 
 The oracle checks construction, ``differentiate``, ``substitute``,
 ``is_zero`` and the ``parse(str(e))`` round trip (McKeeman, "Differential
-Testing for Software", 1998).
+Testing for Software", 1998), and the exact linear algebra of ``_symint``:
+``det`` and ``cramer`` against sympy's Berkowitz determinant and LU solve,
+and ``rank`` against sympy's rank at a random rational point, evaluated to
+50 digits.
 """
 
 import math
@@ -24,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.core.function import AppliedUndef  # noqa: E402
 
-from symlab import expr as ex  # noqa: E402
+from symlab import _symint, expr as ex  # noqa: E402
 
 U = sympy.symbols("u0:4")
 K, ALPHA = sympy.symbols("k alpha")
@@ -329,3 +332,117 @@ def test_print_parse_round_trip(p):
     back = ex.parse(str(e))
     assert back == e
     assert _agree(to_sympy(back), s)
+
+
+# ---------------------------------------------------------------------------
+# det, cramer and rank
+# ---------------------------------------------------------------------------
+
+# integer, parameter, coordinate, function, exp and trig entries; zeros are
+# common, so minors vanish and the expansion skips entries
+_ENTRIES = [
+    *[(ex.number(n), sympy.Integer(n)) for n in (0, 0, 0, 1, -1, 2, 3)],
+    (ex.param("k"), K),
+    (ex.coord(1), U[1]),
+    (ex.coord(3), U[3]),
+    (ex.func("alpha0"), _fn("alpha0")(U[0])),
+    (ex.exp(ex.coord(1) - ex.coord(2)), sympy.exp(U[1] - U[2])),
+    (ex.exp(ex.param("k") * ex.coord(3)), sympy.exp(K * U[3])),
+    (ex.sin(ex.coord(2)), sympy.sin(U[2])),
+    (ex.cos(ex.coord(2)), sympy.cos(U[2])),
+    (ex.cos(ex.coord(1) + ex.param("alpha")), sympy.cos(U[1] + ALPHA)),
+    (ex.sin(ex.param("alpha")), sympy.sin(ALPHA)),
+]
+_size = st.integers(min_value=1, max_value=4)
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """A rows x cols matrix as engine rows and a sympy Matrix."""
+    cells = [[draw(st.sampled_from(_ENTRIES)) for _ in range(cols)] for _ in range(rows)]
+    return [[e for e, _s in row] for row in cells], sympy.Matrix([[s for _e, s in row] for row in cells])
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(_size)
+    return draw(matrices(n, n))
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """P Q for P of shape rows x k and Q of shape k x cols: rank at most k."""
+    rows, cols = draw(_size), draw(_size)
+    k = draw(st.integers(min_value=0, max_value=min(rows, cols)))
+    if k == 0:
+        return [[ex.number(0)] * cols for _ in range(rows)], sympy.zeros(rows, cols)
+    p_e, p_s = draw(matrices(rows, k))
+    q_e, q_s = draw(matrices(k, cols))
+    m_e = [[sum((p_e[i][t] * q_e[t][j] for t in range(k)), ex.number(0)) for j in range(cols)] for i in range(rows)]
+    return m_e, p_s * q_s
+
+
+def _numeric_rank(m_s, seed):
+    """Rank of ``m_s`` at a random rational point, in 50-digit arithmetic."""
+    rng = random.Random(seed)
+    point = {a: sympy.Rational(rng.choice((-1, 1)) * rng.randint(3, 17), rng.randint(5, 13)) for a in _ARGS}
+    values = m_s.applyfunc(lambda s: _flatten(s).xreplace(point).evalf(50))
+    return values.rank(iszerofunc=lambda v: abs(v) < sympy.Float("1e-30", 50))
+
+
+_LINALG_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+@_LINALG_SETTINGS
+@given(m=square_matrices())
+def test_det_matches_sympy(m):
+    m_e, m_s = m
+    assert _agree(to_sympy(_symint.det(m_e)), m_s.det(method="berkowitz")), [[str(e) for e in row] for row in m_e]
+
+
+@_LINALG_SETTINGS
+@given(n=_size, data=st.data())
+def test_det_of_floats_matches_sympy(n, data):
+    values = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+    m = [[data.draw(values) for _ in range(n)] for _ in range(n)]
+    got = _symint.det(m)
+    assert isinstance(got, float)
+    want = float(sympy.Matrix(m).det(method="berkowitz"))
+    assert abs(got - want) <= 1e-9 * (1.0 + abs(want)), (m, got, want)
+
+
+@_LINALG_SETTINGS
+@given(m=square_matrices(), data=st.data())
+def test_cramer_matches_sympy(m, data):
+    m_e, m_s = m
+    d = _symint.det(m_e)
+    if not d:
+        return  # a singular system has no Cramer solution
+    n = len(m_e)
+    rhs_e, rhs_s = data.draw(matrices(n, 1))
+    got = _symint.cramer(m_e, [row[0] for row in rhs_e], d)
+    # sympy's LU solve of the system evaluated at the seeded points
+    system = m_s.row_join(rhs_s)
+    cells = [[_values(system[i, j], seed=20261020) for j in range(n + 1)] for i in range(n)]
+    solutions = [_values(to_sympy(x), seed=20261020) for x in got]
+    checked = 0
+    for k, x in enumerate(zip(*solutions)):
+        at = sympy.Matrix(n, n + 1, lambda i, j: cells[i][j][k])
+        if None in x or any(v is None for v in at) or abs(complex(at[:, :n].det())) < 1e-6:
+            continue
+        want = at[:, :n].LUsolve(at[:, n])
+        assert all(abs(x[j] - complex(want[j])) <= 1e-7 * (1.0 + abs(x[j])) for j in range(n)), (k, x, want)
+        checked += 1
+    assert checked >= 3, "too few points where the system is solvable"
+
+
+@st.composite
+def rectangular_matrices(draw):
+    return draw(matrices(draw(_size), draw(_size)))
+
+
+@_LINALG_SETTINGS
+@given(m=st.one_of(low_rank_matrices(), rectangular_matrices()))
+def test_rank_matches_sympy(m):
+    m_e, m_s = m
+    assert _symint.rank(m_e) == _numeric_rank(m_s, seed=20261020), [[str(e) for e in row] for row in m_e]

@@ -90,6 +90,18 @@ def test_symbolic_commands_load_no_numpy_and_need_none():
     assert _run_commands("block")["runs"] == normal["runs"]
 
 
+def test_verify_and_export_leave_the_solver_unloaded():
+    code = (
+        "import contextlib, io\n"
+        "from symlab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['export', '--group', 'VI']) == 0\n"
+        "    assert cli.main(['verify', '--group', 'I', '--samples', '1']) == 0"
+    )
+    loaded = _loaded_after(code)
+    assert "symlab.cli" in loaded and "symlab.solver" not in loaded
+
+
 def test_lazy_submodules_are_reachable():
     code = (
         "import symlab\n"
