@@ -9,7 +9,10 @@ solver.  Everything stays inside the expression engine's closed class:
 polynomials times one exponential of a linear form times at most one sine
 or cosine of a linear form.  An exact scalar -- a linear-form coefficient,
 or an entry of a constant matrix -- is a constant ``Expr``, or the
-canonical monomial sum it holds as ``num``.
+canonical monomial sum it holds as ``num``.  An antiderivative's scalars
+may also carry a constant-sum denominator, such as 1/(k^2 + 9); a
+linear-form coefficient cannot, and ``fundamental_matrix`` raises for a
+matrix entry with one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .expr import (
     _combine,
     _expand_raw,
     _mono_inv,
-    _mono_mul,
     _q,
     _sorted,
     _sum_str,
@@ -43,9 +45,6 @@ from .expr import (
     sin,
     substitute,
 )
-
-_ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # exact scalars: canonical sums of constant monomials
@@ -94,13 +93,21 @@ def antiderivative(e: Expr, i: int) -> Expr:
     Supports the closed class (polynomial x exponential x single trig factor
     in ``u_i``); for ``i == 0`` a monomial containing an abstract function is
     integrated by lowering the derivative order, which requires order >= 1.
+    The rates lam of the exponential and mu of the trig factor may be any
+    constant scalars.  For ``u_i^n`` the result divides n + 1 times by lam
+    (no trig factor) or by lam^2 + mu^2; when that scalar is a constant sum
+    such as k^2 + 9, its power becomes the result's denominator.  A
+    constant-sum denominator of ``e`` stays one: the integral of N/D is (the
+    integral of N)/D.  A non-constant denominator, a negative power of
+    ``u_i``, a trig power or product in ``u_i``, and an abstract function of
+    ``u0`` times any other ``u0`` factor raise UnsupportedExpressionError.
     """
     if e.den != SUM_ONE:
-        raise UnsupportedExpressionError("cannot integrate a quotient of sums")
-    out = []
-    for m in e.num:
-        out.extend(_mono_antiderivative(m, i).num)
-    return Expr(_combine(out))
+        den = Expr(e.den)
+        if not den.is_constant():
+            raise UnsupportedExpressionError("cannot integrate over a non-constant denominator")
+        return antiderivative(Expr(e.num), i) / den
+    return sum((_mono_antiderivative(m, i) for m in e.num), ZERO)
 
 
 def definite_integral(e: Expr, i: int, upper: Expr) -> Expr:
@@ -115,14 +122,11 @@ def _mono_antiderivative(m: Mono, i: int) -> Expr:
     # split off the u_i-dependent structure
     power = 0
     rest_pows = {}
-    func_key = None
     for key, ex in m.pows:
-        if key[0] == "u" and key[1] == i:
+        if key == ("u", i):
             power = ex
         else:
             rest_pows[key] = ex
-            if key[0] == "f" and i == 0:
-                func_key = key if func_key is None or ex != 0 else func_key
     if power < 0:
         raise UnsupportedExpressionError("negative coordinate powers cannot be integrated")
 
@@ -151,71 +155,35 @@ def _mono_antiderivative(m: Mono, i: int) -> Expr:
     if len(trig_dep) > 1 or (trig_dep and trig_dep[0][2] != 1):
         raise UnsupportedExpressionError("cannot integrate trig powers in the integration variable")
 
-    rest = Mono(m.coeff, _sorted(rest_pows.items()), _strip_lf(m.expl, i), trig_rest)
-
+    rest = Expr((Mono(m.coeff, _sorted(rest_pows.items()), m.expl, trig_rest),))
+    t = coord(i)
     if not trig_dep and not lam:
         # plain power rule
-        t_new = Mono(_ONE / (power + 1), ((("u", i), power + 1),), LF_ZERO, ())
-        return Expr(_combine(_mono_mul(rest, t_new)))
+        return rest * t ** (power + 1) * Fraction(1, power + 1)
 
-    if not trig_dep:
-        # t^m exp(lam t): downward recursion in the power
-        lam_inv = Expr(cp_invert(lam))
-        terms = []
-        coeff = ONE
-        for j in range(power, -1, -1):
-            coeff = coeff * lam_inv
-            terms.append((j, coeff.num))
-            coeff = coeff * -j
-        out = []
-        for j, cpc in terms:
-            t_part = Mono(1, ((("u", i), j),) if j else (), _lf_with(i, lam), ())
-            for s in cpc:
-                for x in _mono_mul(s, t_part):
-                    out.extend(_mono_mul(x, rest))
-        # drop factorial-style falling coefficients that vanished
-        return Expr(_combine(out))
-
-    # t^m exp(lam t) trig(mu t + rho): solve the two-dimensional recursion
-    fn, lf, _ = trig_dep[0]
-    lam_e, mu = Expr(lam), Expr(lf[i])
-    # D = lam^2 + mu^2 must be exactly invertible (rational after the
-    # sin^2+cos^2 reduction in the catalog's cases)
-    D_inv = Expr(cp_invert((lam_e * lam_e + mu * mu).num))
-    ps = [ZERO] * (power + 1)
-    qs = [ZERO] * (power + 1)
-    want_sin = fn == "sin"
-    for j in range(power, -1, -1):
-        if j == power:
-            r_s = ONE if want_sin else ZERO
-            r_c = ZERO if want_sin else ONE
-        else:
-            r_s = ps[j + 1] * -(j + 1)
-            r_c = qs[j + 1] * -(j + 1)
-        # [[lam, -mu], [mu, lam]] (p_j, q_j)^T = (r_s, r_c)^T
-        ps[j] = D_inv * (lam_e * r_s + mu * r_c)
-        qs[j] = D_inv * (lam_e * r_c - mu * r_s)
-    out = []
-    for j in range(power + 1):
-        for trig_fn, c in (("sin", ps[j]), ("cos", qs[j])):
-            base = Mono(
-                1,
-                ((("u", i), j),) if j else (),
-                _lf_with(i, lam),
-                ((trig_fn, lf, 1),),
-            )
-            for s in c.num:
-                for x in _mono_mul(s, base):
-                    out.extend(_mono_mul(x, rest))
-    return Expr(_combine(out))
-
-
-def _strip_lf(lf, i):
-    return tuple(CP_ZERO if j == i else cp for j, cp in enumerate(lf))
-
-
-def _lf_with(i, cp):
-    return tuple(cp if j == i else CP_ZERO for j in range(4))
+    # t^n exp(lam t) [trig(mu t + rho)] integrates to exp(lam t) (p sin + q
+    # cos) with (p, q) = w_n, where [[lam, -mu], [mu, lam]] w_k = t^k e -
+    # k w_(k-1), e is the trig function's unit vector and w_(-1) = 0.  Without
+    # a trig factor mu = 0, "sin" is 1 and the inverse is 1/lam: lam/lam^2
+    # would turn cos(alpha)^2 into the sum 1 - sin(alpha)^2.  Each step divides
+    # by inv's scalar once, so a constant sum there is one power in the
+    # denominator.
+    lam = Expr(lam)
+    if trig_dep:
+        fn, lf, _ = trig_dep[0]
+        mu = Expr(lf[i])
+        l, inv = lam, ONE / (lam * lam + mu * mu)
+        sin_t, cos_t = (Expr((Mono(1, (), LF_ZERO, ((name, lf, 1),)),)) for name in ("sin", "cos"))
+    else:
+        fn, mu, l, inv = "sin", ZERO, ONE, ONE / lam
+        sin_t, cos_t = ONE, ZERO
+    e_s, e_c = (ONE, ZERO) if fn == "sin" else (ZERO, ONE)
+    p = q = ZERO
+    for k in range(power + 1):
+        r_s, r_c = t ** k * e_s - p * k, t ** k * e_c - q * k
+        # inverse matrix: inv [[l, mu], [-mu, l]]
+        p, q = inv * (l * r_s + mu * r_c), inv * (l * r_c - mu * r_s)
+    return (p * sin_t + q * cos_t) * rest
 
 
 # ---------------------------------------------------------------------------

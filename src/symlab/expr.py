@@ -824,13 +824,7 @@ class Assignment:
             raise ValueError("need exactly four coordinate values")
         self.coords = tuple(float(c) for c in coords)
         self.params = dict(params or {})
-        self.funcs = {}
-        for key, v in (funcs or {}).items():
-            if isinstance(key, FuncSymbol):
-                self.funcs[(key.name, key.order)] = float(v)
-            else:
-                name, order = key
-                self.funcs[(name, order)] = float(v)
+        self.funcs = {(name, order): float(v) for (name, order), v in (funcs or {}).items()}
 
     def _factor(self, key) -> float:
         kind = key[0]
@@ -1140,8 +1134,8 @@ def numeric_lines(
     The lines read the coordinates ``u0..u3`` and the extra symbols as
     ``s0, s1, ...``, and call ``exp``, ``sin`` and ``cos`` by those names.
     ``param_values`` are folded in as floating constants.  ``symbols`` is an
-    ordered sequence of remaining free symbols -- parameter names, FuncSymbol
-    instances, or raw factor keys.  Each distinct ``exp``/``sin``/``cos``
+    ordered sequence of remaining free symbols: parameter names and
+    FuncSymbol instances.  Each distinct ``exp``/``sin``/``cos``
     call is bound once to a local ``_t0, _t1, ...``, numbered in order of
     first use and assigned just before the first statement that reads it.
     A monomial keeps its factor order and its powers (``_t3**-1``), so every
@@ -1150,12 +1144,7 @@ def numeric_lines(
     param_values = dict(param_values or {})
     slot: dict = {}
     for idx, s in enumerate(symbols):
-        if isinstance(s, FuncSymbol):
-            key = ("f", s.name, s.order)
-        elif isinstance(s, str):
-            key = ("p", s)
-        else:
-            key = tuple(s)
+        key = ("p", s) if isinstance(s, str) else ("f", s.name, s.order)
         slot[key] = f"s{idx}"
     local: dict = {}  # call source -> its local name
     pending: list = []  # bindings the next statement needs first
@@ -1236,8 +1225,8 @@ def compile_numeric(
     """Compile expressions to one fast ``f(u0,u1,u2,u3, *symbols) -> [values]``.
 
     ``param_values`` are folded in as floating constants.  ``symbols`` is an
-    ordered sequence of remaining free symbols -- parameter names, FuncSymbol
-    instances, or raw factor keys -- exposed as extra positional arguments.
+    ordered sequence of remaining free symbols, parameter names and
+    FuncSymbol instances, exposed as extra positional arguments.
     The body is ``numeric_lines``: each distinct ``exp``/``sin``/``cos``
     call runs once per evaluation, and the values are the floats that
     evaluating every call in place would give.
@@ -1307,11 +1296,10 @@ def _tokenize(text: str):
 class _Parser:
     """Precedence-climbing parser for the expression grammar."""
 
-    def __init__(self, tokens, parameters, functions):
+    def __init__(self, tokens, parameters):
         self.tokens = tokens
         self.pos = 0
         self.parameters = parameters
-        self.functions = functions
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -1399,8 +1387,6 @@ class _Parser:
             if primes:
                 raise ParseError("coordinates cannot carry derivative marks", tok.pos)
             return coord(COORD_NAMES.index(name))
-        if name in self.functions:
-            return func(name, primes)
         if name in self.parameters:
             if primes:
                 raise ParseError(f"parameter {name!r} cannot carry derivative marks", tok.pos)
@@ -1414,17 +1400,13 @@ class _Parser:
         return param(name)
 
 
-def parse(
-    text: str,
-    parameters: Iterable[str] = DEFAULT_PARAMETERS,
-    functions: Iterable[str] = (),
-) -> Expr:
+def parse(text: str, parameters: Iterable[str] = DEFAULT_PARAMETERS) -> Expr:
     """Parse the expression grammar into a canonical Expr.
 
-    ``parameters`` and ``functions`` pre-classify identifiers; anything else
+    ``parameters`` pre-classifies identifiers as parameters; anything else
     is classified by the trailing-digit convention.
     """
-    parser = _Parser(_tokenize(text), frozenset(parameters), frozenset(functions))
+    parser = _Parser(_tokenize(text), frozenset(parameters))
     result = parser.parse_expr(0)
     end = parser.next()
     if end.kind != "end":

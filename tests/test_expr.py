@@ -473,7 +473,7 @@ def test_linear_terms_rebuild_the_expression(e):
 
 
 def test_linear_terms_group_by_rest():
-    e = parse("3*ta*exp(u3) - tb*exp(u3) + k*ta*u1 - f1'*exp(u3) + 5*u1", functions=("f1",))
+    e = parse("3*ta*exp(u3) - tb*exp(u3) + k*ta*u1 - f1'*exp(u3) + 5*u1")
     u3, u1 = ex.exp(ex.coord(3)), ex.coord(1)
     assert set(ex.linear_terms(e, params=_LINEAR_PARAMS)) == {
         ("ta", ex.number(3), u3),
@@ -555,19 +555,56 @@ class TestExactDivision:
             assert type(value) is Fraction
 
 
-@pytest.mark.parametrize("trig", ["", "*sin(3*u1 + alpha)"], ids=["plain", "sin"])
-@pytest.mark.parametrize("lam", ["2", "-1/2", "k"])
+@pytest.mark.parametrize(
+    "trig",
+    ["", "*sin(3*u1 + alpha)", "*cos((k+2)*u1)", "*sin(3*u1)/(k^2 + 9)"],
+    ids=["plain", "sin", "cos_k2", "over_sum"],
+)
+@pytest.mark.parametrize("lam", ["2", "-1/2", "k", "cos(alpha)", "(k+1)"])
 @pytest.mark.parametrize("m", range(4))
 def test_antiderivative_round_trip(m, lam, trig):
-    """u1^m exp(lam u1) [sin(3 u1 + alpha)]: the power recursion and, with the
-    sine, the two-dimensional one; d/du1 of the antiderivative is exact."""
+    """u1^m exp(lam u1) [trig factor]: the power recursion and, with the
+    trig factor, the two-dimensional one; d/du1 of the antiderivative is
+    exact.  Where the recursion divides by a constant sum (k + 1, k^2 + 9,
+    (k+2)^2, cos(alpha)^2 + 9, ...), or the input has a constant-sum
+    denominator, the antiderivative keeps it as its denominator."""
     e = parse(f"u1^{m}*exp({lam}*u1){trig}")
-    if lam == "k" and trig:
-        # the recursion divides by k^2 + 9, a scalar sum
-        with pytest.raises(UnsupportedExpressionError, match="cannot invert scalar sum"):
-            antiderivative(e, 1)
-        return
     assert is_zero(differentiate(antiderivative(e, 1), 1) - e)
+
+
+def test_antiderivative_keeps_a_constant_sum_denominator_of_its_input():
+    e = parse("beta0'*u1/(k^2 + 1)")
+    assert antiderivative(e, 0) == parse("beta0*u1/(k^2 + 1)")
+    with pytest.raises(UnsupportedExpressionError, match="non-constant denominator"):
+        antiderivative(parse("1/(u1 + 1)"), 1)
+
+
+def test_exponential_antiderivatives_divide_by_the_rate():
+    """Without a trig factor each step divides by lam, never by lam^2: for
+    lam = cos(alpha), lam^2 reduces to 1 - sin(alpha)^2 and would leave a
+    sum in the denominator."""
+    anti = antiderivative(parse("u1^2*exp(cos(alpha)*u1)"), 1)
+    assert anti.den == ex.SUM_ONE
+    assert str(anti) == (
+        "2*cos(alpha)^(-3)*exp(cos(alpha)*u1) - 2*cos(alpha)^(-2)*u1*exp(cos(alpha)*u1)"
+        " + cos(alpha)^(-1)*u1^2*exp(cos(alpha)*u1)"
+    )
+    anti = antiderivative(parse("u1*exp(k*u1)"), 1)
+    assert anti.den == ex.SUM_ONE
+    assert str(anti) == "-k^(-2)*exp(k*u1) + k^(-1)*u1*exp(k*u1)"
+
+
+def test_constant_sum_antiderivative_is_pinned():
+    """One shared power of k^2 + 9 as the denominator, whatever the set order."""
+    assert str(antiderivative(parse("exp(k*u1)*sin(3*u1)"), 1)) == (
+        "((-1/3)*exp(k*u1)*cos(3*u1) + (1/9)*k*exp(k*u1)*sin(3*u1)) / (1 + (1/9)*k^2)"
+    )
+    assert str(antiderivative(parse("u1*exp(k*u1)*sin(3*u1)"), 1)) == (
+        "((1/9)*exp(k*u1)*sin(3*u1) + (2/27)*k*exp(k*u1)*cos(3*u1)"
+        " + (1/9)*k*u1*exp(k*u1)*sin(3*u1) + (-1/81)*k^2*exp(k*u1)*sin(3*u1)"
+        " + (-1/27)*k^2*u1*exp(k*u1)*cos(3*u1) + (1/81)*k^3*u1*exp(k*u1)*sin(3*u1)"
+        " + (-1/3)*u1*exp(k*u1)*cos(3*u1)) / (1 + (2/9)*k^2 + (1/81)*k^4)"
+    )
 
 
 def _stored_rationals(e):

@@ -50,13 +50,15 @@ def _bound_names(node):
 
 def _local_imports(tree):
     """(line, imported module) of every import below module level, including
-    calls to ``__import__``."""
+    calls to ``__import__``; ``from . import x`` imports the module ``x``."""
     out = []
     for scope in ast.walk(tree):
         if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
             continue
         for node in ast.walk(scope):
-            if isinstance(node, ast.Import):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module is None
+            ):
                 out.extend((node.lineno, a.name) for a in node.names)
             elif isinstance(node, ast.ImportFrom):
                 out.append((node.lineno, node.module))
@@ -82,6 +84,11 @@ def test_no_unused_module_level_import(path):
         if name not in used and name not in exported
     ]
     assert unused == []
+
+
+def test_local_imports_name_each_module():
+    tree = ast.parse("def f():\n    from . import x\n    from .y import z\n    import numpy\n")
+    assert _local_imports(tree) == [(2, "x"), (3, "y"), (4, "numpy")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

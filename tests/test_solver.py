@@ -274,6 +274,16 @@ class TestReconstructPotential:
         with pytest.raises(SolverError):
             reconstruct_potential(F)
 
+    @pytest.mark.parametrize(
+        "a2", ["beta0*exp(k*u1)*sin(3*u1)", "beta0*exp(k*u1)*sin(3*u1) + gamma0"]
+    )
+    def test_constant_sum_denominator(self, a2):
+        # the u1 integral divides by k^2 + 9; with gamma0 the u0 row then
+        # integrates a quotient by a power of that sum
+        F = field_from_potential(Potential((ex.ZERO, ex.ZERO, parse(a2), parse("u1*u2"))))
+        rebuilt = field_from_potential(reconstruct_potential(F))
+        assert all(is_zero(rebuilt[i, j] - F[i, j]) for i in range(4) for j in range(4))
+
     def test_family_round_trip(self, reduced_families):
         for tag, fam in reduced_families.items():
             F = fam.as_field_tensor()
