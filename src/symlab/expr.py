@@ -20,7 +20,9 @@ Products of trigonometric factors are rewritten into sums (product-to-sum),
 so a canonical monomial carries at most one positive trigonometric power.
 Because of that, structural equality of canonical forms is a sound equality
 test, and an expression is identically zero exactly when its canonical sum
-is empty (after clearing single-monomial denominators).
+is empty (after clearing single-monomial denominators).  One rewrite loop
+reduces every product, and each of its rounds adds up equal terms, so a
+power of n trigonometric units costs work polynomial in n.
 
 Quotients are kept as ``numerator / denominator`` pairs.  A denominator that
 canonicalizes to a single monomial is folded into the numerator as negative
@@ -285,63 +287,31 @@ def _mono_sort_key(m: Mono):
     return _skey((m.pows, m.expl, m.trig))
 
 
-def _tc_reduce(powdict):
-    """Rewrite cos(x)^m (m >= 2) as (1 - sin(x)^2)^(m//2) * cos(x)^(m%2).
-
-    Returns a list of (coefficient, powdict) terms, the coefficient an int, or
-    a Fraction when not integral.  Works on any factor dict;
-    only constant-angle cosine keys with exponent >= 2 are touched.
-    """
-    target = None
-    for key, e in powdict.items():
-        if key[0] == "tc" and key[1] == "cos" and e >= 2:
-            target = key
-            break
-    if target is None:
-        return [(1, powdict)]
-    e = powdict[target]
-    half, rem = divmod(e, 2)
-    sin_key = ("tc", "sin", target[2], target[3])
-    out = []
-    # (1 - s^2)^half expanded binomially
-    for j in range(half + 1):
-        coeff = math.comb(half, j) * (1 if j % 2 == 0 else -1)
-        d = dict(powdict)
-        if rem:
-            d[target] = rem
-        else:
-            del d[target]
-        if j:
-            e2 = d.get(sin_key, 0) + 2 * j
-            if e2:
-                d[sin_key] = e2
-            elif sin_key in d:
-                del d[sin_key]
-        out.extend((coeff * c2, d2) for c2, d2 in _tc_reduce(d))
-    return out
+def _due(pows, trig):
+    """The rewrite a raw product is due for, or None when it is canonical:
+    the first constant-angle ``cos(x)^m`` with m >= 2 (its factor key), else
+    the first two positive trig units in item order, one unit twice when its
+    power is at least 2 (a pair of trig keys)."""
+    for key, e in pows.items():
+        if e >= 2 and key[0] == "tc" and key[1] == "cos":
+            return key
+    units = [k for k, e in trig.items() if e > 0]
+    if units and trig[units[0]] >= 2:
+        return units[0], units[0]
+    return (units[0], units[1]) if len(units) > 1 else None
 
 
-def _expand_raw(coeff, powdict, expl, trigdict):
-    """Normalize one raw monomial into canonical monomials (list)."""
-    if not coeff:
-        return []
-    powdict = {k: e for k, e in powdict.items() if e}
-    out = []
-    for extra, d in _tc_reduce(powdict):
-        out.extend(_expand_trig(coeff * extra, d, expl, trigdict))
-    return out
-
-
-def _expand_trig(coeff, powdict, expl, trigdict):
-    trigdict = {k: e for k, e in trigdict.items() if e}
-    positives = [k for k, e in trigdict.items() if e > 0]
-    mult = sum(trigdict[k] for k in positives)
-    if mult <= 1:
-        return [Mono(coeff, _sorted(powdict.items()), expl, _sorted((fn, lf, e) for (fn, lf), e in trigdict.items()))]
-    # pick two positive units and rewrite their product as a sum
-    ka = positives[0]
-    kb = ka if trigdict[ka] >= 2 else positives[1]
-    base = dict(trigdict)
+def _rewrite(coeff, pows, trig, due):
+    """The terms, with zero powers dropped, of one rewrite of a raw product:
+    cos(x)^m = cos(x)^(m-2) * (1 - sin(x)^2) for a constant angle, or
+    product-to-sum of two trig units, the new unit appended last."""
+    if due[0] == "tc":
+        sin_key = ("tc", "sin", due[2], due[3])
+        p = {**pows, due: pows[due] - 2}
+        s = {**p, sin_key: p.get(sin_key, 0) + 2}
+        return [(c, {k: e for k, e in d.items() if e}, trig) for c, d in ((coeff, p), (-coeff, s))]
+    ka, kb = due
+    base = dict(trig)
     base[ka] -= 1
     base[kb] -= 1
     (fa, la), (fb, lb) = ka, kb
@@ -349,7 +319,6 @@ def _expand_trig(coeff, powdict, expl, trigdict):
     minus = lf_add(la, lf_neg(lb))
     # an even int halves to an int; Fraction arithmetic costs far more
     half = coeff // 2 if type(coeff) is int and not coeff % 2 else coeff * _HALF
-    out = []
     if fa == "sin" and fb == "sin":
         combos = [(half, "cos", minus), (-half, "cos", plus)]
     elif fa == "cos" and fb == "cos":
@@ -358,18 +327,47 @@ def _expand_trig(coeff, powdict, expl, trigdict):
         combos = [(half, "sin", plus), (half, "sin", minus)]
     else:  # cos * sin
         combos = [(half, "sin", plus), (-half, "sin", minus)]
+    out = []
     for c, fn, lf in combos:
         s, lf = _lf_norm_sign(lf)
-        if lf_is_zero(lf):
-            if fn == "sin":
-                continue
-            out.extend(_expand_trig(c, powdict, expl, dict(base)))
-            continue
-        if s < 0 and fn == "sin":
-            c = -c
         d = dict(base)
-        d[(fn, lf)] = d.get((fn, lf), 0) + 1
-        out.extend(_expand_trig(c, powdict, expl, d))
+        if not lf_is_zero(lf):
+            if s < 0 and fn == "sin":
+                c = -c
+            d[(fn, lf)] = d.get((fn, lf), 0) + 1
+        elif fn == "sin":
+            continue  # sin(0) = 0; cos(0) = 1 adds no unit
+        out.append((c, pows, {k: e for k, e in d.items() if e}))
+    return out
+
+
+def _expand_raw(coeff, powdict, expl, trigdict):
+    """Normalize one raw monomial into canonical monomials (list).
+
+    A worklist: each round applies one rewrite (``_due``, ``_rewrite``) to
+    every pending term, then adds up the coefficients of equal new terms, the
+    same factor items in the same order.  The order is kept because it picks
+    the pair to rewrite, and with negative trig powers the canonical form
+    depends on that choice.  A term with nothing left to rewrite is emitted
+    at once.  Merging keeps the work polynomial in the number of units.
+    """
+    out = []
+    if not coeff:
+        return out
+    fresh = [(coeff, {k: e for k, e in powdict.items() if e}, {k: e for k, e in trigdict.items() if e})]
+    while fresh:
+        pending = {}
+        for c, pows, trig in fresh:
+            due = _due(pows, trig)
+            if due is None:
+                out.append(Mono(c, _sorted(pows.items()), expl, _sorted((fn, lf, e) for (fn, lf), e in trig.items())))
+                continue
+            # a lone term has nothing to merge with, so its items go unhashed:
+            # the frequent product of two units is one term in its only round
+            key = (tuple(pows.items()), tuple(trig.items())) if len(fresh) > 1 else None
+            prev = pending.get(key)
+            pending[key] = (c if prev is None else prev[0] + c, pows, trig, due)
+        fresh = [t for c, pows, trig, due in pending.values() if c for t in _rewrite(c, pows, trig, due)]
     return out
 
 
@@ -774,6 +772,8 @@ def differentiate(e: Expr, i: int) -> Expr:
     if e.den == SUM_ONE:
         return dnum
     dden = Expr(_combine(x for m in e.den for x in _mono_diff(m, i)))
+    if not dden:
+        return Expr._make(dnum.num, e.den)
     den = Expr(e.den)
     return (dnum * den - Expr(e.num) * dden) / (den * den)
 
@@ -801,14 +801,9 @@ def _clear_negative_powers(num) -> tuple:
                 need_trig[(fn, lf)] = max(need_trig.get((fn, lf), 0), -e)
     if not need_pows and not need_trig:
         return num
-    out = list(num)
-    for key, e in need_pows.items():
-        factor = Mono(1, ((key, e),), LF_ZERO, ())
-        out = [x for m in out for x in _mono_mul(m, factor)]
-    for (fn, lf), e in need_trig.items():
-        factor = Mono(1, (), LF_ZERO, ((fn, lf, e),))
-        out = [x for m in out for x in _mono_mul(m, factor)]
-    return _combine(out)
+    trig = tuple((fn, lf, e) for (fn, lf), e in need_trig.items())
+    factor = Mono(1, tuple(need_pows.items()), LF_ZERO, trig)
+    return _combine(x for m in num for x in _mono_mul(m, factor))
 
 
 class Assignment:

@@ -771,12 +771,12 @@ def test_verify_output_is_pinned(capsys, group):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[group]
 
 
-def _run_module(*args):
+def _run_module(*args, timeout=120):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH="src")
     return subprocess.run(
         [sys.executable, "-m", "symlab", *args],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        cwd=root, env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -788,3 +788,20 @@ def test_module_entry_point_exit_status():
     assert done.returncode == 2
     printed = done.stdout + done.stderr
     assert printed.startswith("error:") and printed.count("\n") == 1, printed
+
+
+def test_high_trig_power_in_frame_is_rejected_in_seconds(tmp_path):
+    # xi3's last IX component with sin(u1)^(-51): the bracket's products then
+    # hold dozens of trig units, and reducing them must stay polynomial
+    text = export_manifest(catalog.get_model("IX"))
+    old = "cos(u2)*sin(u1)^(-1)\n"
+    assert text.count(old) == 1
+    path = tmp_path / "power.manifest"
+    path.write_text(text.replace(old, "cos(u2)*sin(u1)^(-51)\n"))
+    done = _run_module("verify", "--manifest", str(path), "--samples", "5", timeout=20)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert done.stderr.startswith(
+        "error: frame does not define an algebra: bracket [1,2] has non-constant coefficient"
+    ), done.stderr

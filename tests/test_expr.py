@@ -81,6 +81,17 @@ class TestCanonicalForm:
     def test_product_to_sum(self):
         assert parse("sin(u3)*cos(u3)") == parse("(1/2)*sin(2*u3)")
 
+    def test_expand_adds_up_equal_terms(self):
+        # sin(u1)^16 cos(u1) is reduced pair by pair; adding up the equal
+        # terms of each round keeps the raw terms polynomial in the power
+        # (without that, each pair rewrite doubles them: 4,338 raw terms)
+        (m,) = parse("sin(u1)").num
+        lf = m.trig[0][1]
+        raw = ex._expand_raw(1, {}, ex.LF_ZERO, {("sin", lf): 16, ("cos", lf): 1})
+        assert len(raw) <= 200
+        assert ex.Expr(ex._combine(raw)) == parse("sin(u1)^16*cos(u1)")
+        assert len(ex._combine(raw)) == 9
+
     def test_constant_angle_identity(self):
         assert is_zero(parse("sin(alpha)^2 + cos(alpha)^2 - 1"))
 

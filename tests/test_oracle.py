@@ -9,9 +9,10 @@ of two results must expand to 0, or vanish at several seeded numeric points.
 Function symbols are evaluated as independent values per derivative order,
 as the engine treats them.
 
-The oracle checks construction, ``differentiate``, ``substitute``,
-``is_zero`` and the ``parse(str(e))`` round trip (McKeeman, "Differential
-Testing for Software", 1998), and the exact linear algebra of ``_symint``:
+The oracle checks construction, raw products of trigonometric units,
+``differentiate``, ``substitute``, ``is_zero`` and the ``parse(str(e))``
+round trip (McKeeman, "Differential Testing for Software", 1998), and the
+exact linear algebra of ``_symint``:
 ``det`` and ``cramer`` against sympy's Berkowitz determinant and LU solve,
 and ``rank`` against sympy's rank at a random rational point, evaluated to
 50 digits.
@@ -232,6 +233,47 @@ _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 @_SETTINGS
 @given(p=pairs())
 def test_construction_matches_sympy(p):
+    e, s = p
+    assert _agree(to_sympy(e), s), str(e)
+
+
+# one raw product of trig units over a few linear forms: u1, u2 and u3
+# appear with positive leading coefficients, as in a canonical trig argument
+_UNIT_FORMS = [
+    (ex.coord(1), U[1]),
+    (ex.coord(2), U[2]),
+    (ex.coord(1) + ex.coord(2), U[1] + U[2]),
+    (2 * ex.coord(1) - ex.coord(3), 2 * U[1] - U[3]),
+    (ex.number(Fraction(1, 2)) * ex.coord(2) + ex.coord(3), U[2] / 2 + U[3]),
+]
+
+
+def _unit(fn, lf_e):
+    """The trig key (fn, linear form) of ``fn(lf_e)``."""
+    (m,) = ex.sin(lf_e).num
+    return fn, m.trig[0][1]
+
+
+@st.composite
+def trig_products(draw):
+    """One ``_mono_mul`` of up to 8 trig units over two or three linear forms
+    by cos(alpha)^m (m <= 6), sometimes times a negative power of sin(u1)."""
+    forms = draw(st.lists(st.sampled_from(_UNIT_FORMS), min_size=2, max_size=3, unique_by=lambda f: str(f[1])))
+    unit = st.tuples(st.sampled_from(["sin", "cos"]), st.sampled_from(forms))
+    units = draw(st.lists(unit, min_size=1, max_size=8))
+    m, n = draw(st.integers(min_value=0, max_value=6)), draw(st.sampled_from([0, 0, 1, 3]))
+    a = ex.Mono(1, (), ex.LF_ZERO, tuple((*_unit(fn, f[0]), 1) for fn, f in units))
+    pows = ((("tc", "cos", "alpha", 1), m),) if m else ()
+    b = ex.Mono(1, pows, ex.LF_ZERO, ((*_unit("sin", ex.coord(1)), -n),) if n else ())
+    want = sympy.cos(ALPHA) ** m / sympy.sin(U[1]) ** n
+    for fn, f in units:
+        want *= (sympy.sin if fn == "sin" else sympy.cos)(f[1])
+    return ex.Expr(ex._combine(ex._mono_mul(a, b))), want
+
+
+@_SETTINGS
+@given(p=trig_products())
+def test_trig_product_matches_sympy(p):
     e, s = p
     assert _agree(to_sympy(e), s), str(e)
 

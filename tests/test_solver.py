@@ -281,8 +281,12 @@ class TestReconstructPotential:
         # the u1 integral divides by k^2 + 9; with gamma0 the u0 row then
         # integrates a quotient by a power of that sum
         F = field_from_potential(Potential((ex.ZERO, ex.ZERO, parse(a2), parse("u1*u2"))))
-        rebuilt = field_from_potential(reconstruct_potential(F))
+        A = reconstruct_potential(F)
+        rebuilt = field_from_potential(A)
         assert all(is_zero(rebuilt[i, j] - F[i, j]) for i in range(4) for j in range(4))
+        # A2 keeps the one sum 1 + k^2/9 as its denominator: a quotient whose
+        # denominator does not depend on u_i differentiates to N'/D, not N'D/D^2
+        assert len(A[2].den) == 2
 
     def test_family_round_trip(self, reduced_families):
         for tag, fam in reduced_families.items():
