@@ -351,8 +351,9 @@ def _check_spurious_u3(tag: str) -> bool:
 
 
 def _check_ii_system_sign() -> bool:
-    # the discrepancy involves the constant later removed by the algebraic
-    # constraints, so check the pre-elimination family
+    # the discrepancy involves tb, whose closed wedge would give the algebra a
+    # central term and which the solver then eliminates; check the family
+    # before that elimination
     from .solver import solve_solvable
 
     fam = solve_solvable("II")

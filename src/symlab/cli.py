@@ -34,7 +34,7 @@ from .emfield import (
     KgfChecker,
     Potential,
     admissibility_residual,
-    algebraic_constraint_residual,
+    central_terms,
     compatibility_residual,
 )
 from . import catalog
@@ -132,12 +132,13 @@ def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> 
     What ``build_model`` derives is not checked again: the structure
     constants come from the frame (a frame that does not close is a load
     error), the field is F = dA and each integral's gamma is -xi . A.
-    Killing and admissibility are the independent checks; admissibility
-    tests L_xi A = 0 in the potential's own gauge (ROADMAP direction 11
-    gives the gauge-free form).  The algebraic constraints, field
-    invariance and the second-order scalar conditions follow from them and
-    stay as cross-checks on other code: with the constants from the frame,
-    the constraint residual is xi_b . (L_xi_a A).
+    Killing, admissibility and "no central term" are the independent
+    checks.  Admissibility tests L_xi A = 0 in the potential's own gauge
+    (ROADMAP direction 11 gives the gauge-free form).  "No central term"
+    tests the algebraic constraints [X_a, X_b] = C^g_ab X_g on F and C
+    alone, so it does not depend on the gauge (``central_terms``).  Field
+    invariance and the second-order scalar conditions follow from
+    admissibility and stay as cross-checks on other code.
     """
     if samples < 1:
         # the sampled checks would pass with no point evaluated
@@ -172,7 +173,7 @@ def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> 
         entries = [(f"g[{i}{j}]", res[i][j]) for i in range(4) for j in range(i, 4)]
         checks.append(_sym_check(f"killing equations, generator {a + 1}", entries))
 
-    # admissibility, algebraic constraints, invariance of F
+    # admissibility, the central term, invariance of F
     for a, X in enumerate(model.frame):
         res = admissibility_residual(model.potential, model.field, X)
         checks.append(
@@ -181,13 +182,8 @@ def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> 
                 [(f"R[{i}]", res[i]) for i in range(4)],
             )
         )
-    acr = algebraic_constraint_residual(model.potential, model.frame, model.constants)
-    checks.append(
-        _sym_check(
-            "algebraic constraints",
-            [(f"[{a + 1}{b + 1}]", acr[a][b]) for a in range(3) for b in range(3)],
-        )
-    )
+    central = central_terms(model.constants, model.frame, [model.field])
+    checks.append(_sym_check("no central term", [("central terms", ex.number(central))]))
     for a, X in enumerate(model.frame):
         comp = compatibility_residual(model.field, X)
         checks.append(

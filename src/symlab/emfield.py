@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from . import expr as ex
+from ._symint import rank
 from .expr import Expr, Assignment, differentiate, evaluate, free_symbols, is_zero
 from .geometry import Coframe, Metric, StructureConstants, VectorField, _lie_derivative
 
@@ -32,6 +33,7 @@ __all__ = [
     "compatibility_residual",
     "gamma_of",
     "algebraic_constraint_residual",
+    "central_terms",
     "KgfChecker",
     "kgf_extra_residual_at",
 ]
@@ -148,7 +150,7 @@ def bianchi_satisfied(F: FieldTensor) -> bool:
     return all(is_zero(v) for v in bianchi_residual(F).values())
 
 
-def _contract(X: VectorField, A: Potential) -> Expr:
+def _contract(X: VectorField, A: Sequence[Expr]) -> Expr:
     acc = ex.number(0)
     for i in range(4):
         if X[i] and A[i]:
@@ -182,7 +184,10 @@ def gamma_of(X: VectorField, A: Potential) -> Expr:
 def algebraic_constraint_residual(
     A: Potential, fields: Sequence[VectorField], C: StructureConstants
 ):
-    """res[a][b] = xi_a^i d_i(xi_b^j A_j) - C^g_ab xi_g^j A_j."""
+    """res[a][b] = xi_a^i d_i(xi_b^j A_j) - C^g_ab xi_g^j A_j: the algebraic
+    constraints in A's gauge, which no command runs.  With C from the frame
+    it is xi_b . (L_xi_a A), so it holds whenever A is admissible and can
+    fail for A + d lambda; ``central_terms`` is the gauge-free test."""
     scalars = [_contract(f, A) for f in fields]
     res = []
     for a in range(3):
@@ -198,6 +203,28 @@ def algebraic_constraint_residual(
             row.append(acc)
         res.append(tuple(row))
     return tuple(res)
+
+
+def central_terms(
+    C: StructureConstants, fields: Sequence[VectorField], tensors: Sequence[FieldTensor]
+) -> int:
+    """How many independent central terms the invariant fields ``tensors``
+    give the algebra [X_a, X_b] = C^g_ab X_g; zero means none.
+
+    With d mu_a = xi_a . F the central term is c_ab = -F(xi_a, xi_b) -
+    C^g_ab mu_g, and shifting mu by constants moves c within the span of
+    C's columns (C^g_ab)_ab.  So the count is the rank the vectors
+    (F(xi_a, xi_b))_ab add, pointwise, to that span: the 2-cocycle test of
+    Chevalley and Eilenberg (1948), with no potential, gauge or integration.
+    """
+    pairs = ((0, 1), (0, 2), (1, 2))
+    columns = [[C[a, b, g] for a, b in pairs] for g in range(3)]
+    # F(xi_a, xi_b) = xi_a^i F_ij xi_b^j
+    cocycles = [
+        [_contract(fields[a], [_contract(fields[b], row) for row in F.entries]) for a, b in pairs]
+        for F in tensors
+    ]
+    return rank(columns + cocycles) - rank(columns)
 
 
 # ---------------------------------------------------------------------------

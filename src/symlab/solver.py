@@ -5,27 +5,26 @@ has constant coefficients in it (Ellis and MacCallum, 1969).  So the closed
 invariant fields are F = d(f_a(u0) omega^a) plus the closed constant
 2-forms that are not exact, the Lie-algebra cohomology H^2 (Chevalley and
 Eilenberg, 1948).  There is no ODE to integrate and no case split by type.
-The constants of the H^2 part are then eliminated through the algebraic
-constraints on the reconstructed potential.
+The constants of the H^2 part give the algebra central terms
+(``emfield.central_terms``), so the algebraic constraints then eliminate them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from . import expr as ex
 from .expr import Expr, differentiate, is_zero
-from ._symint import antiderivative, cramer, definite_integral, det, rank, row_reduce
+from ._symint import antiderivative, cramer, definite_integral, det
 from .catalog import get_model
 from .geometry import StructureConstants, VectorField, structure_constants_from_frame
 from .emfield import (
     FieldTensor,
     Potential,
-    algebraic_constraint_residual,
     bianchi_residual,
     bianchi_satisfied,
+    central_terms,
     compatibility_residual,
     field_from_potential,
 )
@@ -137,48 +136,34 @@ def solve_solvable(type_tag: str, q=None) -> SolutionFamily:
 
     In the model's invariant coframe omega^a an invariant field has constant
     coefficients, so F = d(f_a(u0) omega^a) + sum_k t_k Omega_k.  The Omega_k
-    are the wedges omega^b ^ omega^c that are closed and pointwise
-    independent of the exact forms d omega^a and of each other: the
-    constants that survive dF = 0 without coming from a potential.  ``q`` is
-    type VI's free structure constant; any other type rejects it.
+    are the wedges omega^b ^ omega^c that are closed and give the algebra
+    independent central terms (``emfield.central_terms``): an exact form
+    d(c_a omega^a) gives none, so these are the constants that survive
+    dF = 0 without coming from a potential.  ``q`` is type VI's free
+    structure constant; any other type rejects it.
     """
     model = get_model(type_tag, q=q)
     system = FieldSystem(frame=model.frame, constants=model.constants)
     omega = model.coframe.forms
-    zero = ex.number(0)
     A = Potential.on_coframe(model.coframe, [ex.func(name) for name in _FUNC_POOL])
     comps = field_from_potential(A).upper_components()
-
-    basis: List[List[Expr]] = []  # independent spatial 2-forms, as rows over _SPATIAL
-
-    def extends(row: List[Expr]) -> bool:
-        rows = basis + [row]
-        return len(rows) <= 3 and rank(rows) == len(rows)
-
-    for form in omega:
-        d_form = field_from_potential(Potential((zero,) + tuple(form)))
-        row = [d_form[pair] for pair in _SPATIAL]
-        if extends(row):
-            basis.append(row)
-    consts: List[str] = []
+    wedges: List[FieldTensor] = []
     for b, c in ((0, 1), (0, 2), (1, 2)):
-        wedge = {
+        wedge = FieldTensor.from_upper({
             (i, j): omega[b][i - 1] * omega[c][j - 1] - omega[b][j - 1] * omega[c][i - 1]
             for (i, j) in _SPATIAL
-        }
-        row = [wedge[pair] for pair in _SPATIAL]
-        closed = is_zero(bianchi_residual(FieldTensor.from_upper(wedge))[(1, 2, 3)])
-        if closed and extends(row):
-            basis.append(row)
-            name = _CONST_POOL[len(consts)]
-            consts.append(name)
+        })
+        closed = is_zero(bianchi_residual(wedge)[(1, 2, 3)])
+        if closed and central_terms(system.constants, system.frame, wedges + [wedge]) > len(wedges):
+            name = _CONST_POOL[len(wedges)]
+            wedges.append(wedge)
             for pair in _SPATIAL:
                 comps[pair] = comps[pair] + ex.param(name) * wedge[pair]
     return SolutionFamily(
         type_tag=model.type_tag,
         components=comps,
         free_functions=_FUNC_POOL,
-        free_constants=tuple(consts),
+        free_constants=_CONST_POOL[: len(wedges)],
         system=system,
     )
 
@@ -234,39 +219,24 @@ def reconstruct_potential(F: FieldTensor) -> Potential:
 def apply_algebraic_constraints(fam: SolutionFamily) -> SolutionFamily:
     """Eliminate the free constants through the algebraic constraints.
 
-    The constraints act on the reconstructed potential.  Each constant must
-    be forced to zero by them, and the family with every constant at zero
-    must satisfy them identically.  Reconstruction and the residual are both
-    linear in the constants, so that check substitutes the zeros into the
-    one residual already built.
+    The constraints say that the symmetry operators close with no central
+    term, which ``central_terms`` decides from F and C alone.  Each constant
+    must be forced to zero: the wedges the constants multiply add one
+    central term each.  The family with every constant at zero must then
+    add none.
     """
-    A = reconstruct_potential(fam.as_field_tensor())
-    res = algebraic_constraint_residual(A, fam.system.frame, fam.system.constants)
-
-    rows: List[List[Fraction]] = []
-    for a in range(3):
-        for b in range(3):
-            try:
-                terms = ex.linear_terms(res[a][b], params=fam.free_constants)
-            except ex.UnsupportedExpressionError as err:
-                raise SolverError(f"algebraic constraint [{a}][{b}]: {err}") from None
-            groups: Dict[Expr, Dict[str, Fraction]] = {}
-            for name, coeff, profile in terms:
-                if name is not None:
-                    g = groups.setdefault(profile, {})
-                    g[name] = g.get(name, 0) + coeff.as_rational()
-            rows.extend([g.get(n, 0) for n in fam.free_constants] for g in groups.values())
-    _rref, pivots = row_reduce(rows)
-    if len(pivots) != len(fam.free_constants):
+    zeros = dict.fromkeys(fam.free_constants, 0)
+    base = fam.substitute(consts=zeros)
+    wedges = []
+    for name in fam.free_constants:
+        unit = fam.substitute(consts={**zeros, name: 1})
+        wedges.append(FieldTensor.from_upper({pair: unit[pair] - base[pair] for pair in unit}))
+    frame, C = fam.system.frame, fam.system.constants
+    if central_terms(C, frame, wedges) != len(wedges):
         raise SolverError("algebraic constraints do not determine the constants")
-
-    zeros = {name: ex.number(0) for name in fam.free_constants}
-    for row in res:
-        for e in row:
-            if not is_zero(ex.substitute(e, params=zeros)):
-                raise SolverError("constraints remain violated after elimination")
-    comps = {pair: ex.substitute(e, params=zeros) for pair, e in fam.components.items()}
-    return replace(fam, components=comps, free_constants=())
+    if central_terms(C, frame, [FieldTensor.from_upper(base)]):
+        raise SolverError("constraints remain violated after elimination")
+    return replace(fam, components=base, free_constants=())
 
 
 # ---------------------------------------------------------------------------

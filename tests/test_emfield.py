@@ -1,10 +1,12 @@
 """Residual checks for admissible electromagnetic fields."""
 
+import functools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symlab import catalog, expr as ex
 from symlab.emfield import (
@@ -15,6 +17,7 @@ from symlab.emfield import (
     algebraic_constraint_residual,
     bianchi_residual,
     bianchi_satisfied,
+    central_terms,
     compatibility_residual,
     field_from_potential,
     gamma_of,
@@ -22,6 +25,7 @@ from symlab.emfield import (
 )
 from symlab.expr import is_zero, parse
 from symlab.geometry import VectorField
+from symlab.solver import solve_solvable
 
 
 def all_zero(matrix) -> bool:
@@ -148,6 +152,62 @@ class TestAlgebraicConstraints:
         )
         res = algebraic_constraint_residual(A, m.frame, m.constants)
         assert any(not is_zero(v) for row in res for v in row)
+
+
+@st.composite
+def gauge_functions(draw):
+    """lambda in the engine's closed class: one or two terms, each an integer
+    times a monomial in u0..u3 times 1, exp, sin or cos of a linear form."""
+    lam = ex.number(0)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        term = ex.number(draw(st.integers(min_value=-3, max_value=3).filter(bool)))
+        form = ex.number(0)
+        for i in range(4):
+            term = term * ex.coord(i) ** draw(st.integers(min_value=0, max_value=2))
+            form = form + draw(st.integers(min_value=-1, max_value=1)) * ex.coord(i)
+        kind = draw(st.sampled_from([None, ex.exp, ex.sin, ex.cos]))
+        lam = lam + (term * kind(form) if kind else term)
+    return lam
+
+
+def _a2_plus_u1(A):
+    # a uniform magnetic field F12 = 1 added to the catalog field
+    return Potential.make(0, A[1], A[2] + ex.coord(1), A[3])
+
+
+# the unreduced families; I-III and VI at q = -1 keep their H^2 constants
+_FAMILIES = [(tag, None) for tag in catalog.TAGS] + [("VI", -1)]
+_H2 = {("I", None): 3, ("II", None): 2, ("III", None): 1, ("VI", -1): 1}
+
+
+@functools.lru_cache(maxsize=None)
+def _family(tag, q):
+    return solve_solvable(tag, q=q)
+
+
+class TestCentralTerms:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(lam=gauge_functions())
+    def test_verdict_is_gauge_free(self, lam):
+        # the catalog fields pass and their A2 + u1 shifts fail on I-VII, in
+        # every gauge
+        for tag in catalog.TAGS:
+            m = catalog.get_model(tag)
+            for A, want in ((m.potential, 0), (_a2_plus_u1(m.potential), int(tag in catalog.SOLVABLE))):
+                F = field_from_potential(A.shifted_by_gradient(lam))
+                assert central_terms(m.constants, m.frame, [F]) == want, (tag, str(lam))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_unreduced_families_fail_exactly_with_a_constant(self, data):
+        values = st.one_of(st.just(0), st.fractions(-5, 5, max_denominator=7))
+        for tag, q in _FAMILIES:
+            fam = _family(tag, q)
+            assert len(fam.free_constants) == _H2.get((tag, q), 0), (tag, q)
+            consts = {name: data.draw(values) for name in fam.free_constants}
+            F = FieldTensor.from_upper(fam.substitute(consts=consts))
+            C, frame = fam.system.constants, fam.system.frame
+            assert central_terms(C, frame, [F]) == int(any(consts.values())), (tag, q, consts)
 
 
 class TestSecondOrderConditions:

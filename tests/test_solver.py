@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from symlab import catalog, cli, dynamics, expr as ex, solver
+from symlab import catalog, cli, dynamics, emfield, expr as ex, solver
 from symlab._symint import row_reduce
 from symlab.emfield import FieldTensor, Potential, field_from_potential
 from symlab.expr import is_zero, parse
@@ -188,7 +188,8 @@ class TestApplyAlgebraicConstraints:
 
     @pytest.mark.parametrize("tag", ["I", "II", "III"])
     def test_reconstruction_is_linear_in_the_constants(self, families, tag):
-        # the one-pass elimination substitutes the zeros after reconstruction
+        # a potential of the family with its constants at zero is the
+        # family's potential with the zeros substituted
         fam = families[tag]
         A = reconstruct_potential(fam.as_field_tensor())
         for zeros in [{t: 0} for t in fam.free_constants] + [dict.fromkeys(fam.free_constants, 0)]:
@@ -197,23 +198,17 @@ class TestApplyAlgebraicConstraints:
             assert [ex.substitute(c, params=zeros) for c in A] == list(want), zeros
 
     @pytest.mark.parametrize("tag", ["II", "IX"])
-    def test_one_reconstruction_and_one_residual(self, monkeypatch, tag):
+    def test_no_potential_is_reconstructed(self, monkeypatch, tag):
+        # the central terms are read off F and C; no potential is involved
         fam = solve_solvable(tag)
-        calls = []
 
-        def counted(name):
-            inner = getattr(solver, name)
+        def forbidden(*args):
+            raise AssertionError("the algebraic constraints need no potential")
 
-            def wrapper(*args):
-                calls.append(name)
-                return inner(*args)
-
-            return wrapper
-
-        for name in ("reconstruct_potential", "algebraic_constraint_residual"):
-            monkeypatch.setattr(solver, name, counted(name))
-        apply_algebraic_constraints(fam)
-        assert sorted(calls) == ["algebraic_constraint_residual", "reconstruct_potential"]
+        monkeypatch.setattr(solver, "reconstruct_potential", forbidden)
+        monkeypatch.setattr(emfield, "algebraic_constraint_residual", forbidden)
+        monkeypatch.setattr(solver, "algebraic_constraint_residual", forbidden, raising=False)
+        assert apply_algebraic_constraints(fam).free_constants == ()
 
 
 class TestCatalogReproduction:
