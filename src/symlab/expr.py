@@ -451,7 +451,9 @@ class Expr:
     (see ``_q``), and every stored sum is combined and sorted.  Arithmetic
     relies on this: a numerator over the denominator 1 is kept as it is, and
     a product by a non-zero rational scalar only rescales the coefficients,
-    because the sort key holds no coefficient and so the order stands.
+    because the sort key holds no coefficient and so the order stands.  A
+    zero operand short-circuits: ``x + 0`` is ``x`` and ``x * 0`` is the
+    shared ``ZERO``, the forms the general paths would store.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -471,7 +473,7 @@ class Expr:
         if not den:
             raise ZeroDivisionError("denominator is identically zero")
         if not num:
-            return Expr((), SUM_ONE)
+            return ZERO
         if den == SUM_ONE:
             return Expr(num, SUM_ONE)
         if len(den) == 1:
@@ -489,7 +491,7 @@ class Expr:
     def from_number(value: Number) -> "Expr":
         r = _q(Fraction(value))
         if not r:
-            return Expr(())
+            return ZERO
         return Expr((Mono(r, (), LF_ZERO, ()),))
 
     # -- basic protocol -------------------------------------------------------
@@ -530,6 +532,10 @@ class Expr:
 
     def __add__(self, other):
         other = Expr._coerce(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         if self.den == other.den:
             return Expr._make(_combine(self.num + other.num), self.den)
         num = _combine(
@@ -550,6 +556,8 @@ class Expr:
 
     def __mul__(self, other):
         other = Expr._coerce(other)
+        if not self.num or not other.num:
+            return ZERO
         return Expr._make(_sum_mul(self.num, other.num), _sum_mul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -611,7 +619,7 @@ def number(value: Number) -> Expr:
     return Expr.from_number(value)
 
 
-ZERO = number(0)
+ZERO = Expr(())
 ONE = number(1)
 
 
@@ -963,11 +971,22 @@ def random_assignment(exprs: Iterable[Expr], rng) -> Assignment:
     Nonzero magnitudes are enforced on parameters and function values so that
     denominators and cancellation checks stay well-conditioned.
     """
+    return _draw_assignment(*_params_and_funcs(exprs), rng)
+
+
+def _params_and_funcs(exprs: Iterable[Expr]):
+    """The parameters and function symbols of the expressions, as two sets."""
     params, funcs = set(), set()
     for e in exprs:
         sym = free_symbols(e)
         params |= sym["params"]
         funcs |= sym["funcs"]
+    return params, funcs
+
+
+def _draw_assignment(params, funcs, rng) -> Assignment:
+    """One random point: the coordinates, then ``params`` and ``funcs`` in
+    their iteration order, each away from zero."""
 
     def draw():
         while True:
@@ -1000,11 +1019,12 @@ def is_zero(e: Expr) -> bool:
     cleared = _clear_negative_powers(e.num)
     verdict = not cleared
     rng = random.Random(0xC0FFEE)
+    symbols = _params_and_funcs([e])
     checked = 0
     tries = 0
     while checked < _ZERO_TEST_SAMPLES and tries < _ZERO_TEST_SAMPLES * 20:
         tries += 1
-        a = random_assignment([e], rng)
+        a = _draw_assignment(*symbols, rng)
         try:
             terms = [_mono_eval(m, a) for m in e.num]
             scale = math.fsum(map(abs, terms)) + 1.0

@@ -221,7 +221,11 @@ def _solve_in_span(fields, bracket, a, b):
 
 
 def jacobi_residual(C: StructureConstants):
-    """Exact residual array of the Jacobi identity, indexed [a][b][g][s]."""
+    """Exact residual array of the Jacobi identity, indexed [a][b][g][s].
+
+    The constants of a G3 are mostly zero, so only products of two nonzero
+    constants are formed; a zero product is never built.
+    """
     res = []
     for a in range(3):
         plane = []
@@ -232,9 +236,13 @@ def jacobi_residual(C: StructureConstants):
                 for s in range(3):
                     acc = ex.number(0)
                     for t in range(3):
-                        acc = acc + C[a, b, t] * C[g, t, s]
-                        acc = acc + C[b, g, t] * C[a, t, s]
-                        acc = acc + C[g, a, t] * C[b, t, s]
+                        for x, y in (
+                            (C[a, b, t], C[g, t, s]),
+                            (C[b, g, t], C[a, t, s]),
+                            (C[g, a, t], C[b, t, s]),
+                        ):
+                            if x and y:
+                                acc = acc + x * y
                     entry.append(acc)
                 row.append(tuple(entry))
             plane.append(tuple(row))
@@ -277,6 +285,9 @@ def _lie_derivative(T, X: VectorField):
     2-tensor (4x4 rows) with T_ji = +-T_ij, which the result shares:
 
         (L_X T)_I = X^k d_k T_I + sum over slots s of T_(I, k in slot s) d_(I_s) X^k
+
+    A term whose X^k or d_(I_s) X^k is zero is skipped, so no zero product
+    is formed.
     """
     dX = [[differentiate(X[k], i) for i in range(4)] for k in range(4)]
 
@@ -289,7 +300,8 @@ def _lie_derivative(T, X: VectorField):
             if X[k]:
                 acc = acc + X[k] * differentiate(entry(I), k)
             for s, i in enumerate(I):
-                acc = acc + entry(I[:s] + (k,) + I[s + 1:]) * dX[k][i]
+                if dX[k][i]:
+                    acc = acc + entry(I[:s] + (k,) + I[s + 1:]) * dX[k][i]
         return acc
 
     if isinstance(T[0], Expr):

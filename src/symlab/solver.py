@@ -80,8 +80,9 @@ class FieldSystem:
 def build_field_system(C: StructureConstants, frame: Sequence[VectorField]) -> FieldSystem:
     """The closure and invariance equations of a frame with constants C.
 
-    Kept for the public API and its tests: ``solve_solvable`` builds its
-    system from a catalog model, whose constants already come from the frame.
+    No command calls it: ``solve_solvable`` builds its system from a catalog
+    model, whose constants already come from the frame.  It stays public for
+    its tests, which check a frame against given constants.
     """
     frame = tuple(frame)
     derived = structure_constants_from_frame(frame)

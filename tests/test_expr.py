@@ -220,20 +220,20 @@ class TestIsZero:
             raise AssertionError("sampled an empty form")
 
         x = ex.coord(1)
-        monkeypatch.setattr(ex, "random_assignment", no_draw)
+        monkeypatch.setattr(ex, "_draw_assignment", no_draw)
         assert is_zero(ex.ZERO)
         assert is_zero(x - x)
 
     def test_form_that_clears_to_zero_is_still_sampled(self, monkeypatch):
         # non-empty, but empty once sin(u1) is cleared from the denominator
         draws = []
-        draw = ex.random_assignment
+        draw = ex._draw_assignment
 
         def counted(*args, **kwargs):
             draws.append(args)
             return draw(*args, **kwargs)
 
-        monkeypatch.setattr(ex, "random_assignment", counted)
+        monkeypatch.setattr(ex, "_draw_assignment", counted)
         e = parse("sin(2*u1)/sin(u1)") - parse("2*cos(u1)")
         assert e.num
         assert is_zero(e)
@@ -244,7 +244,7 @@ class TestIsZero:
     )
     def test_each_monomial_is_evaluated_once_per_sample(self, monkeypatch, text):
         draws, evals = [], []
-        draw, mono_eval = ex.random_assignment, ex._mono_eval
+        draw, mono_eval = ex._draw_assignment, ex._mono_eval
 
         def counted_draw(*args, **kwargs):
             draws.append(args)
@@ -255,7 +255,7 @@ class TestIsZero:
             return mono_eval(*args, **kwargs)
 
         e = parse(text)
-        monkeypatch.setattr(ex, "random_assignment", counted_draw)
+        monkeypatch.setattr(ex, "_draw_assignment", counted_draw)
         monkeypatch.setattr(ex, "_mono_eval", counted_eval)
         is_zero(e)
         monos = e.num + (e.den if e.den != ex.SUM_ONE else ())
@@ -828,3 +828,112 @@ def test_scalar_product_lands_on_int():
     # a sum denominator is made monic by the scalar path as well
     (m,) = (ex.ONE / (Fraction(2, 3) * ex.coord(1) + Fraction(2, 3))).num
     _exact(m.coeff, Fraction(3, 2))
+
+
+def _reference_add(x, y):
+    """``x + y`` through the general sum: over a shared denominator the
+    numerators are combined, else both are cross-multiplied by the loop."""
+    if x.den == y.den:
+        return _reference_make(ex._combine(x.num + y.num), x.den)
+    num = ex._combine(_reference_sum_mul(x.num, y.den) + _reference_sum_mul(y.num, x.den))
+    return _reference_make(num, _reference_sum_mul(x.den, y.den))
+
+
+def _reference_mul(x, y):
+    return _reference_make(_reference_sum_mul(x.num, y.num), _reference_sum_mul(x.den, y.den))
+
+
+def _assert_zero_operand_paths(x):
+    """Adding, subtracting and multiplying by an exact zero store what the
+    general paths store, and a zero product is the shared zero."""
+    zero = ex.Expr(())  # a zero the short cuts do not know by identity
+    cases = [
+        (x + 0, _reference_add(x, zero)),
+        (0 + x, _reference_add(zero, x)),
+        (x + ex.ZERO, _reference_add(x, zero)),
+        (x - 0, _reference_add(x, zero)),
+        (0 - x, _reference_add(zero, -x)),
+        (x * 0, _reference_mul(x, zero)),
+        (0 * x, _reference_mul(zero, x)),
+        (x * ex.number(0), _reference_mul(x, zero)),
+        (zero * x, _reference_mul(zero, x)),
+    ]
+    for got, want in cases:
+        assert (_stored(got.num), _stored(got.den)) == (_stored(want.num), _stored(want.den)), str(x)
+        _assert_normalized(got)
+    assert x + 0 is x and 0 + x is x
+    for product in (x * 0, 0 * x, x * zero, zero * x):
+        assert product is ex.ZERO
+
+
+def test_zero_is_one_shared_value():
+    assert ex.number(0) is ex.ZERO
+    assert ex.Expr.from_number(Fraction(0, 3)) is ex.ZERO
+    assert ex.ZERO.num == () and ex.ZERO.den == ex.SUM_ONE
+    x = ex.coord(1)
+    assert x - x == ex.ZERO and ex.ZERO + ex.ZERO is ex.ZERO
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=class_exprs(depth=3), b=linear_combinations())
+def test_zero_operand_matches_general_paths(a, b):
+    # b may carry the constant-sum denominator 1 + k^2
+    for x in (a, b):
+        _assert_zero_operand_paths(x)
+
+
+def test_zero_operand_matches_general_paths_on_catalog(corpus):
+    for e in corpus:
+        _assert_zero_operand_paths(e)
+
+
+# ---------------------------------------------------------------------------
+# work guard: the checks form no product with an exact zero factor
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def empty_products(monkeypatch):
+    """Counts the canonical products formed, and those with an empty operand."""
+    counts = {"all": 0, "empty": 0}
+    general = ex._sum_mul
+
+    def counted(xs, ys):
+        counts["all"] += 1
+        counts["empty"] += not xs or not ys
+        return general(xs, ys)
+
+    monkeypatch.setattr(ex, "_sum_mul", counted)
+    return counts
+
+
+@pytest.mark.parametrize("tag", ["I", "VIII", "IX"])
+def test_verification_forms_no_zero_product(models, empty_products, tag):
+    from symlab import cli
+
+    assert cli.run_verification(models[tag], samples=5, seed=0).passed
+    assert empty_products["all"] and not empty_products["empty"]
+
+
+def test_solver_forms_no_zero_product(empty_products):
+    from symlab import solver
+
+    for tag in ("I", "II", "III", "IV", "V", "VI", "VII"):
+        solver.solve_solvable(tag)
+    assert empty_products["all"] and not empty_products["empty"]
+
+
+def test_is_zero_reads_the_free_symbols_once(models, monkeypatch):
+    from symlab import geometry
+
+    m = models["IX"]
+    # a Killing residual of IX: non-empty, zero once sin(u1) is cleared, so
+    # every sample is drawn
+    e = geometry.killing_residual(m.metric, m.frame[1])[1][1]
+    assert e.num
+    calls, draws = [], []
+    free_symbols, draw = ex.free_symbols, ex._draw_assignment
+    monkeypatch.setattr(ex, "free_symbols", lambda x: calls.append(x) or free_symbols(x))
+    monkeypatch.setattr(ex, "_draw_assignment", lambda *args: draws.append(args) or draw(*args))
+    assert is_zero(e)
+    assert len(calls) == 1 and len(draws) == 8
