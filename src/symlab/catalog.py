@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
 from . import expr as ex
-from .expr import Expr, FuncSymbol, InputError, free_symbols, is_zero, differentiate, parse
+from .expr import Expr, FuncSymbol, InputError, is_zero, differentiate, parse
 from ._symint import det
 from .geometry import (
     Coframe,
@@ -427,16 +427,14 @@ def _check_ix_potential() -> bool:
         model.potential[2],
         0,
     )
-    printed_field = field_from_potential(printed)
-    bad = admissibility_residual(printed, printed_field, model.frame[1])
+    bad = admissibility_residual(printed, None, model.frame[1])
     printed_fails = any(not is_zero(r) for r in bad)
-    good = admissibility_residual(model.potential, model.field, model.frame[1])
+    good = admissibility_residual(model.potential, None, model.frame[1])
     good_passes = all(is_zero(r) for r in good)
     # the same function on the invariant form omega^3 is admissible
     kept = Potential.on_coframe(model.coframe, (0, 0, ex.func("gamma0")))
-    kept_field = field_from_potential(kept)
     kept_passes = all(
-        is_zero(r) for X in model.frame for r in admissibility_residual(kept, kept_field, X)
+        is_zero(r) for X in model.frame for r in admissibility_residual(kept, None, X)
     )
     return printed_fails and good_passes and kept_passes
 
@@ -538,18 +536,13 @@ def random_model_assignment(
     degenerate sin(alpha) = 0.
     """
     if symbols is None:
-        params, funcs = set(), set()
-        exprs = (
+        params, funcs = ex._params_and_funcs(
             [model.metric[i, j] for i in range(4) for j in range(i, 4)]
             + list(model.potential)
             + [model.field[i, j] for i in range(4) for j in range(i + 1, 4)]
             + [c for f in model.frame for c in f]
         )
-        for e in exprs:
-            sym = free_symbols(e)
-            params |= sym["params"]
-            funcs |= sym["funcs"]
-            funcs |= {FuncSymbol(f.name, f.order + 1) for f in sym["funcs"]}
+        funcs |= {FuncSymbol(f.name, f.order + 1) for f in funcs}
         symbols = tuple(sorted(params)) + tuple(sorted(funcs))
 
     while True:

@@ -10,6 +10,7 @@ input error exits 2 with one ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -134,11 +135,12 @@ def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> 
     error), the field is F = dA and each integral's gamma is -xi . A.
     Killing, admissibility and "no central term" are the independent
     checks.  Admissibility tests L_xi A = 0 in the potential's own gauge
-    (ROADMAP direction 11 gives the gauge-free form).  "No central term"
-    tests the algebraic constraints [X_a, X_b] = C^g_ab X_g on F and C
+    (ROADMAP direction 11 gives the gauge-free form); it, Killing and field
+    invariance are one covariant Lie derivative, of A, g and F.  "No central
+    term" tests the algebraic constraints [X_a, X_b] = C^g_ab X_g on F and C
     alone, so it does not depend on the gauge (``central_terms``).  Field
     invariance and the second-order scalar conditions follow from
-    admissibility and stay as cross-checks on other code.
+    admissibility and stay as cross-checks.
     """
     if samples < 1:
         # the sampled checks would pass with no point evaluated
@@ -518,7 +520,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse formats
+    each action as it is added, a cost every ``main`` call would repeat."""
     parser = argparse.ArgumentParser(
         prog="symlab",
         description="verify, solve and simulate the built-in homogeneous models",
@@ -561,8 +566,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--group", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_errata)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _USER_ERRORS as err:

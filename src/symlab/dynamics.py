@@ -277,7 +277,7 @@ def standard_instance(model: BianchiModel,
     b = standard_bindings()
     if bindings:
         metric = (model.metric[i, j] for i in range(4) for j in range(i, 4))
-        known = {f.name for e in itertools.chain(metric, model.potential) for f in free_symbols(e)["funcs"]}
+        known = {f.name for f in ex._params_and_funcs(itertools.chain(metric, model.potential))[1]}
         unknown = sorted(set(bindings) - known)
         if unknown:
             raise InputError(

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import expr as ex
 from ._symint import rank
-from .expr import Expr, Assignment, differentiate, evaluate, free_symbols, is_zero
+from .expr import Expr, Assignment, differentiate, evaluate, is_zero
 from .geometry import Coframe, Metric, StructureConstants, VectorField, _lie_derivative
 
 __all__ = [
@@ -158,17 +158,12 @@ def _contract(X: VectorField, A: Sequence[Expr]) -> Expr:
     return acc
 
 
-def admissibility_residual(A: Potential, F: FieldTensor, X: VectorField):
-    """R_i = d_i(xi^j A_j) - xi^j F_ij; zero iff the field is admissible."""
-    scalar = _contract(X, A)
-    out = []
-    for i in range(4):
-        acc = differentiate(scalar, i)
-        for j in range(4):
-            if X[j]:
-                acc = acc - X[j] * F[i, j]
-        out.append(acc)
-    return tuple(out)
+def admissibility_residual(A: Potential, F: Optional[FieldTensor], X: VectorField):
+    """(L_X A)_i: the Lie derivative of the potential along X, zero iff the
+    field is admissible in A's gauge (chi = 0).  It is the covariant Lie
+    derivative that the Killing and field-invariance checks take of g and
+    F; F = dA is not read."""
+    return _lie_derivative(A.components, X)
 
 
 def compatibility_residual(F: FieldTensor, X: VectorField):
@@ -273,11 +268,7 @@ class KgfChecker:
         da = [[differentiate(e, l) for e in a] for l in range(4)]
         dda = [[differentiate(e, k) for e in da[l]] for k in range(1, 4) for l in range(4)]
         exprs = g + [e for row in dg + ddg for e in row] + a + [e for row in da + dda for e in row]
-        params, funcs = set(), set()
-        for e in exprs:
-            sym = free_symbols(e)
-            params |= sym["params"]
-            funcs |= sym["funcs"]
+        params, funcs = ex._params_and_funcs(exprs)
         self.symbols = tuple(sorted(params)) + tuple(sorted(funcs))
         # most second derivatives vanish; only the others are compiled
         self._size = len(exprs)

@@ -96,6 +96,38 @@ class TestAdmissibility:
         res = admissibility_residual(A, F, m.frame[0])
         assert any(not is_zero(r) for r in res)
 
+    def test_matches_cartan_formula(self, models):
+        # L_X A by Cartan's formula, d(X . A) + X . dA, written out as an
+        # independent reference: R_i = d_i(X^j A_j) - X^j F_ij
+        def cartan(A, X):
+            F = field_from_potential(A)
+            scalar = ex.number(0)
+            for j in range(4):
+                scalar = scalar + X[j] * A[j]
+            out = []
+            for i in range(4):
+                acc = ex.differentiate(scalar, i)
+                for j in range(4):
+                    acc = acc - X[j] * F[i, j]
+                out.append(acc)
+            return tuple(out)
+
+        def potentials(A):
+            yield A
+            for extra in ("u1^2", "u1", "sin(u2)", "exp(u1)*sin(u3)"):
+                yield Potential.make(A[0], A[1], A[2] + parse(extra), A[3])
+            yield A.shifted_by_gradient(parse("u1*u2*u3"))
+
+        compared = 0
+        for m in models.values():
+            for A in potentials(m.potential):
+                for X in m.frame:
+                    lie, ref = admissibility_residual(A, None, X), cartan(A, X)
+                    for i in range(4):
+                        assert lie[i] == ref[i], (m.type_tag, str(A), i)
+                        compared += 1
+        assert compared == 648
+
 
 class TestCompatibility:
     def test_catalog_fields_invariant(self, models):

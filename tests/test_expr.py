@@ -92,6 +92,23 @@ class TestCanonicalForm:
         assert ex.Expr(ex._combine(raw)) == parse("sin(u1)^16*cos(u1)")
         assert len(ex._combine(raw)) == 9
 
+    def test_expand_pairs_the_first_two_units(self):
+        # with a negative trig power the canonical form depends on which two
+        # positive units are rewritten first: the first two in item order,
+        # here sin(u1) cos(u1) = (1/2) sin(2 u1), which then cancels against
+        # sin(2 u1)^(-2); pairing the last two gives another form
+        def key(text):
+            (m,) = parse(text).num
+            return m.trig[0][:2]
+
+        trig = {key("sin(u1)"): 1, key("cos(u1)"): 1, key("sin(u1 + u3)"): 1, key("sin(2*u1)"): -2}
+        e = ex.Expr(ex._combine(ex._expand_raw(1, {}, ex.LF_ZERO, trig)))
+        assert str(e) == "(1/2)*sin(u1 + u3)*sin(2*u1)^(-1)"
+        for u1, u3 in ((0.3, -0.7), (1.1, 0.4), (-0.8, 0.9)):
+            point = ex.Assignment([0.0, u1, 0.0, u3], {}, {})
+            value = math.sin(u1) * math.cos(u1) * math.sin(u1 + u3) / math.sin(2 * u1) ** 2
+            assert ex.evaluate(e, point) == pytest.approx(value, rel=1e-12)
+
     def test_constant_angle_identity(self):
         assert is_zero(parse("sin(alpha)^2 + cos(alpha)^2 - 1"))
 
