@@ -296,15 +296,38 @@ def _components(sections, section: str, key: str, count: int, parameters) -> Lis
         raise ManifestError(f"line {lineno}: {err}") from None
 
 
+# the entries each section may hold; [params] and [bindings] take any key
+_MANIFEST_KEYS = {
+    "model": {"name"},
+    "params": None,
+    "frame": {"xi1", "xi2", "xi3"},
+    "coframe": {"s1", "s2", "s3"},
+    "metric": {f"g{i}{j}" for i in range(4) for j in range(i, 4)},
+    "potential": {f"A{i}" for i in range(4)},
+    "bindings": None,
+}
+
+
 def load_manifest(path: str) -> Tuple[BianchiModel, Dict[str, Expr]]:
     """Build a model from a manifest file.
 
     Returns the model together with any [bindings] section entries (used by
     the simulate command).  Structure constants are always derived from the
-    declared frame; a frame that does not close is a load error.  A manifest
-    that gives the metric entrywise in [metric] carries no coframe.
+    declared frame; a frame that is not simply transitive or does not close
+    is a load error.  A manifest that gives the metric entrywise in [metric]
+    carries no coframe.  A section or entry that the loader does not read is
+    a load error, and so is a manifest with both [coframe] and [metric].
     """
     sections = _read_sections(path)
+    for section, entries in sections.items():
+        if section not in _MANIFEST_KEYS:
+            raise ManifestError(f"unknown section [{section}]")
+        known = _MANIFEST_KEYS[section]
+        for key, (_value, lineno) in entries.items():
+            if known is not None and key not in known:
+                raise ManifestError(f"line {lineno}: [{section}] has no entry {key}")
+    if "coframe" in sections and "metric" in sections:
+        raise ManifestError("give the metric by [coframe] or by [metric], not both")
     for required in ("model", "frame", "potential"):
         if required not in sections:
             raise ManifestError(f"missing required section [{required}]")

@@ -528,8 +528,11 @@ def random_initial_states(model: BianchiModel, count: int, seed: int, radius: fl
     """Deterministic random initial states with |p| bounded by the radius.
 
     Starting coordinates sit at the chart origin, except the rotation-type
-    chart which starts away from its coordinate singularity.
+    chart which starts away from its coordinate singularity.  A negative
+    seed raises InputError.
     """
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     u0 = (0.0, math.pi / 2, 0.0, 0.0) if model.type_tag == "IX" else (0.0, 0.0, 0.0, 0.0)
     states = []

@@ -3,9 +3,9 @@
 Coordinate ``u0`` is the non-ignorable direction; a three-parameter symmetry
 group acts on the ``u1..u3`` slice, so group generators have vanishing ``u0``
 component.  Invariant metrics are assembled from an invariant coframe with
-abstract coefficient functions of ``u0``.  The exact determinant, Cramer
-solve and rank that the frame and metric code use are ``_symint``'s ``det``,
-``cramer`` and ``rank``.
+abstract coefficient functions of ``u0``.  The exact determinant and Cramer
+solve that the frame and metric code use are ``_symint``'s ``det`` and
+``cramer``.
 
 Only ``metric_sample`` uses numpy, and it loads numpy when it is called, so
 the symbolic machinery runs without it.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from . import expr as ex
-from ._symint import cramer, det, fundamental_matrix, rank, row_reduce
+from ._symint import cramer, det, fundamental_matrix
 from .expr import Expr, Assignment, is_zero, differentiate
 
 if TYPE_CHECKING:
@@ -51,7 +51,8 @@ class GeometryError(Exception):
 
 
 class DegenerateFrameError(GeometryError):
-    """The three fields do not span the group slice."""
+    """The fields are not three generators acting simply transitively on the
+    group slice."""
 
 
 class NonClosingFrameError(GeometryError):
@@ -145,42 +146,38 @@ class StructureConstants:
 
 
 def _frame_matrix(fields: Sequence[VectorField]):
-    """Components on d1..d3 of three group generators, one column per
-    generator; anything else raises DegenerateFrameError."""
+    """(matrix, det) of three group generators: their components on d1..d3,
+    one column per generator, and its exact determinant.  The group must act
+    simply transitively on the slice, so fewer or more than three fields, a
+    nonzero u0 component, or a determinant that is identically zero raises
+    DegenerateFrameError."""
     if len(fields) != 3:
         raise DegenerateFrameError("need exactly three generators")
     if not all(f.is_group_generator() for f in fields):
         raise DegenerateFrameError("group generators must have zero u0 component")
-    return [[f[i] for f in fields] for i in (1, 2, 3)]
+    mat = [[f[i] for f in fields] for i in (1, 2, 3)]
+    d = det(mat)
+    if is_zero(d):
+        raise DegenerateFrameError(
+            "the group does not act simply transitively: the frame determinant is identically zero"
+        )
+    return mat, d
 
 
 def structure_constants_from_frame(fields: Sequence[VectorField]) -> StructureConstants:
-    """Recover exact structure constants from a frame of generators.
+    """Exact structure constants of a simply transitive frame.
 
-    Each pairwise bracket must lie in the constant-coefficient span of the
-    frame with a unique solution; otherwise NonClosingFrameError is raised.
-    An invertible frame matrix gives the coefficients by Cramer's rule.
-    Frames that are not pointwise three-dimensional are still accepted when
-    the constants are uniquely determined: for polynomial components, every
-    term profile of every component gives one rational equation, and exact
-    row reduction of that system decides whether the bracket lies in the
-    span and whether its expansion is unique.  A frame collapsing to a
-    one-dimensional distribution is rejected as degenerate.
+    Each pairwise bracket is expanded in the frame by one Cramer solve
+    against the frame matrix; a coefficient that is not constant raises
+    NonClosingFrameError.
     """
     fields = list(fields)
-    mat = _frame_matrix(fields)
-    d = det(mat)
-    invertible = not is_zero(d)
-    if not invertible and rank(mat) < 2:
-        raise DegenerateFrameError("frame collapses to a one-dimensional distribution")
+    mat, d = _frame_matrix(fields)
     c = [[[ex.number(0)] * 3 for _ in range(3)] for _ in range(3)]
     for a in range(3):
         for b in range(a + 1, 3):
             br = lie_bracket(fields[a], fields[b])
-            if invertible:
-                coeffs = cramer(mat, [br[i + 1] for i in range(3)], d)
-            else:
-                coeffs = _solve_in_span(fields, br, a, b)
+            coeffs = cramer(mat, [br[i + 1] for i in range(3)], d)
             for g in range(3):
                 cg = coeffs[g]
                 if not cg.is_constant():
@@ -190,34 +187,6 @@ def structure_constants_from_frame(fields: Sequence[VectorField]) -> StructureCo
                 c[a][b][g] = cg
                 c[b][a][g] = -cg
     return StructureConstants(c)
-
-
-def _solve_in_span(fields, bracket, a, b):
-    """Unique constant coefficients with [xi_a, xi_b] = sum c_g xi_g when the
-    frame matrix is singular: each term profile of each component gives one
-    rational equation over the three constants, and the system is row
-    reduced exactly."""
-    needs = "degenerate-frame solve needs polynomial components"
-    rows: dict = {}
-    for i in range(4):
-        for col, e in enumerate((fields[0][i], fields[1][i], fields[2][i], bracket[i])):
-            try:
-                terms = ex.linear_terms(e)
-            except ex.UnsupportedExpressionError:
-                raise NonClosingFrameError(needs) from None
-            for _u, coeff, rest in terms:
-                r = coeff.as_rational()
-                if r is None:  # a constant denominator other than 1
-                    raise NonClosingFrameError(needs)
-                rows.setdefault((i, rest), [0] * 4)[col] += r
-    rref, pivots = row_reduce(list(rows.values()))
-    if 3 in pivots:
-        raise NonClosingFrameError(f"bracket [{a + 1},{b + 1}] lies outside the frame span")
-    if len(pivots) < 3:
-        raise NonClosingFrameError(
-            f"cannot uniquely resolve bracket [{a + 1},{b + 1}] in the frame span"
-        )
-    return [ex.number(rref[g][3]) for g in range(3)]
 
 
 def jacobi_residual(C: StructureConstants):
@@ -360,18 +329,19 @@ def _closed_form_candidates():
 def invariant_coframe(fields: Sequence[VectorField]) -> Coframe:
     """Invariant coframe of a simply transitive frame on the group slice.
 
-    A frame with two coordinate translations d_p, d_q and a third field X
-    with constant X_r != 0 and constant gradient reduces the invariance
-    equations to E' = N E in u_r, with N = -grad(X)/X_r; the coframe is
-    E = exp(u_r N) (types I-VII, where N is zero or one 2x2 block; any other
-    N raises UnsupportedExpressionError).  The two classical frames without
-    such a pair (VIII, IX) are matched against verified closed forms; any
-    other frame raises GeometryError.  Everything returned has been checked
-    to satisfy L_X s = 0 for every generator.
+    A frame that is not simply transitive raises the same
+    DegenerateFrameError as ``structure_constants_from_frame``.  A frame
+    with two coordinate translations d_p, d_q and a third field X with
+    constant X_r != 0 and constant gradient reduces the invariance equations
+    to E' = N E in u_r, with N = -grad(X)/X_r; the coframe is E = exp(u_r N)
+    (types I-VII, where N is zero or one 2x2 block; any other N raises
+    UnsupportedExpressionError).  The two classical frames without such a
+    pair (VIII, IX) are matched against verified closed forms; any other
+    frame raises GeometryError.  Everything returned has been checked to
+    satisfy L_X s = 0 for every generator.
     """
     fields = list(fields)
-    if is_zero(det(_frame_matrix(fields))):
-        raise DegenerateFrameError("frame is degenerate on the group slice")
+    _frame_matrix(fields)
 
     translations = {}
     others = []

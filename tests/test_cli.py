@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,24 @@ class TestReports:
         assert "FAIL" not in text
 
 
+# a translation frame with a zero potential, and its metric given either way
+_FLAT_MANIFEST = [
+    "[model]",
+    "name = flat",
+    "[frame]",
+    "xi1 = 0, 1, 0, 0",
+    "xi2 = 0, 0, 1, 0",
+    "xi3 = 0, 0, 0, 1",
+    "[potential]",
+    "A0 = 0",
+    "A1 = 0",
+    "A2 = 0",
+    "A3 = 0",
+]
+_FLAT_METRIC = ["[metric]", "g00 = e", "g11 = a11", "g22 = a22", "g33 = a33"]
+_FLAT_COFRAME = ["[coframe]", "s1 = 1, 0, 0", "s2 = 0, 1, 0", "s3 = 0, 0, 1"]
+
+
 class TestManifests:
     def test_export_round_trip(self, models, tmp_path):
         m = models["III"]
@@ -174,32 +193,69 @@ class TestManifests:
         failing = [c for c in rep.checks if c.verdict == "fail"]
         assert any("admissibility" in c.name for c in failing)
 
-    def test_derived_constants_for_degenerate_span(self, tmp_path):
+    def test_degenerate_span_rejected(self, capsys, models, tmp_path):
+        # d1, d2 and u2 d1 span two directions: the group does not act simply
+        # transitively, so the manifest is refused before any check runs
+        text = export_manifest(models["I"]).replace("xi3 = 0, 0, 0, -1", "xi3 = 0, u2, 0, 0")
         path = tmp_path / "degenerate.manifest"
-        path.write_text(
-            "\n".join(
-                [
-                    "[model]",
-                    "name = degenerate",
-                    "[frame]",
-                    "xi1 = 0, 1, 0, 0",
-                    "xi2 = 0, 0, 1, 0",
-                    "xi3 = 0, u1, 0, 0",
-                    "[metric]",
-                    "g00 = e",
-                    "g11 = a11",
-                    "g22 = a22",
-                    "g33 = a33",
-                    "[potential]",
-                    "A0 = 0",
-                    "A1 = 0",
-                    "A2 = 0",
-                    "A3 = 0",
-                ]
-            )
-        )
-        model, _ = load_manifest(str(path))
-        assert model.constants[0, 2, 0] == ex.number(1)
+        path.write_text(text)
+        with pytest.raises(ManifestError, match="simply transitively"):
+            load_manifest(str(path))
+        rc = cli.main(["verify", "--manifest", str(path), "--samples", "5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: frame ")
+
+    @pytest.mark.parametrize(
+        "section, entry",
+        [
+            ("model", "kind = flat"),
+            ("frame", "xi4 = 0, 1, 0, 0"),
+            ("coframe", "s4 = 0, 0, 1"),
+            ("metric", "g10 = u1"),
+            ("potential", "A4 = u1"),
+        ],
+    )
+    def test_unread_entry_rejected(self, capsys, tmp_path, section, entry):
+        # an entry the loader never reads would be dropped without a word, and
+        # verify would pass a model the file does not describe
+        lines = _FLAT_MANIFEST + (_FLAT_COFRAME if section == "coframe" else _FLAT_METRIC)
+        at = lines.index(f"[{section}]") + 1
+        lines.insert(at, entry)
+        path = tmp_path / "unread.manifest"
+        path.write_text("\n".join(lines) + "\n")
+        key = entry.split("=")[0].strip()
+        message = f"line {at + 1}: [{section}] has no entry {key}"
+        with pytest.raises(ManifestError) as err:
+            load_manifest(str(path))
+        assert str(err.value) == message
+        rc = cli.main(["verify", "--manifest", str(path), "--samples", "5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = tmp_path / "notes.manifest"
+        path.write_text("\n".join(_FLAT_MANIFEST + _FLAT_METRIC + ["[notes]", "author = x"]))
+        with pytest.raises(ManifestError, match=r"^unknown section \[notes\]$"):
+            load_manifest(str(path))
+
+    def test_coframe_and_metric_together_rejected(self, tmp_path):
+        path = tmp_path / "both.manifest"
+        path.write_text("\n".join(_FLAT_MANIFEST + _FLAT_COFRAME + _FLAT_METRIC))
+        with pytest.raises(ManifestError, match=r"\[coframe\] or by \[metric\], not both"):
+            load_manifest(str(path))
+
+    def test_params_and_bindings_take_any_key(self, tmp_path):
+        extra = ["[params]", "k = 1/2", "[bindings]", "gamma0 = u0"]
+        path = tmp_path / "free.manifest"
+        path.write_text("\n".join(_FLAT_MANIFEST + _FLAT_METRIC + extra))
+        model, bindings = load_manifest(str(path))
+        assert model.params == {"k": Fraction(1, 2)}
+        assert bindings == {"gamma0": ex.coord(0)}
 
     def test_rank_one_frame_rejected(self, tmp_path):
         path = tmp_path / "rank1.manifest"
@@ -310,6 +366,13 @@ class TestCommandLine:
         assert lines[0].startswith("# tau")
         assert len(lines) > 10
         assert len(lines[1].split()) == 13
+
+    def test_simulate_negative_seed_exit_two(self, capsys):
+        rc = cli.main(["simulate", "--group", "I", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n"
 
     def test_simulate_runaway_reports_error(self, capsys, tmp_path):
         # a uniform field: the flow grows like exp(2 tau) and leaves double range

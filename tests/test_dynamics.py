@@ -205,6 +205,24 @@ class TestConservation:
             drifts = conserved_drift(traj, inst)
             assert max(drifts.values()) < 1e-8, drifts
 
+    def test_timelike_orbits(self, models):
+        # e = -1 and a11 = 1 make each orbit's metric Lorentzian; criterion 7's
+        # states, tolerance, spans and step budget.  Type V state 2 runs off
+        # to infinity (|u1| near 8e2) and stops before tau = 10
+        for tag, m in models.items():
+            bindings = dict(dynamics.standard_bindings(), a11=ex.number(1))
+            params = {"e": -1.0, "alpha": math.pi / 3.0} if tag == "VII" else {"e": -1.0}
+            inst = ModelInstance(m, bindings, params)
+            span = (0.0, 1.0) if tag == "VIII" else (0.0, 10.0)
+            for idx, st in enumerate(random_initial_states(m, 5, seed=2026, radius=0.3)):
+                if (tag, idx) == ("V", 2):
+                    with pytest.raises(IntegrationError):
+                        integrate(inst, st, span, 1e-10, max_steps=2500)
+                    continue
+                traj = integrate(inst, st, span, 1e-10, max_steps=2500)
+                drifts = conserved_drift(traj, inst)
+                assert max(drifts.values()) < 1e-8, (tag, idx, drifts)
+
     def test_rotation_chart_completes_from_regular_start(self, models):
         m = models["IX"]
         inst = standard_instance(m)
@@ -284,6 +302,10 @@ class TestDiagnostics:
         inst = standard_instance(models["I"], bindings=ZERO_POTENTIAL)
         with pytest.raises(ValueError):
             integrate(inst, PhaseState((0, 0, 0, 0), (0, 0, 0, 0)), (0, 1), -1.0)
+
+    def test_negative_seed_is_an_input_error(self, models):
+        with pytest.raises(ex.InputError, match="seed must be non-negative, got -1"):
+            random_initial_states(models["I"], 1, seed=-1)
 
     def test_trajectory_rows_shape(self, models):
         m = models["IX"]

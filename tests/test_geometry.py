@@ -2,7 +2,6 @@
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from symlab.geometry import (
 D1 = VectorField.spatial(1, 0, 0)
 D2 = VectorField.spatial(0, 1, 0)
 D3 = VectorField.spatial(0, 0, 1)
+U1_D1 = VectorField.spatial(parse("u1"), 0, 0)
 
 
 def vanishes(field: VectorField) -> bool:
@@ -107,38 +107,28 @@ class TestStructureConstants:
         with pytest.raises((NonClosingFrameError, DegenerateFrameError)):
             structure_constants_from_frame([D1, D2, bad])
 
-    def test_degenerate_but_unique_span(self):
-        third = VectorField.spatial(parse("u1"), 0, 0)
-        C = structure_constants_from_frame([D1, D2, third])
-        assert C[0, 2, 0] == ex.number(1)
-
-    def test_degenerate_frame_with_coupled_rows(self):
-        # d1+d2, d1-d2 and u1*d1 span two directions; each bracket has a unique
-        # expansion, but only after the rows that couple c1 and c2 are solved
-        plus = VectorField.spatial(1, 1, 0)
-        minus = VectorField.spatial(1, -1, 0)
-        third = VectorField.spatial(parse("u1"), 0, 0)
-        C = structure_constants_from_frame([plus, minus, third])
-        half = ex.number(Fraction(1, 2))
-        assert C.nonzero_entries() == [
-            (0, 2, 0, half), (0, 2, 1, half), (1, 2, 0, half), (1, 2, 1, half)
-        ]
-
-    def test_degenerate_frame_bracket_outside_span(self):
-        f2 = VectorField.spatial(0, parse("u1^2"), 0)
-        with pytest.raises(NonClosingFrameError, match="lies outside the frame span"):
-            structure_constants_from_frame([D1, f2, D2])
-
-    def test_degenerate_frame_without_unique_expansion(self):
-        twice = VectorField.spatial(2, 0, 0)
-        with pytest.raises(NonClosingFrameError, match=r"cannot uniquely resolve bracket \[1,2\]"):
-            structure_constants_from_frame([D1, twice, D2])
-
-    def test_one_dimensional_distribution_rejected(self):
-        f2 = VectorField.spatial(parse("u2"), 0, 0)
-        f3 = VectorField.spatial(parse("u2^2"), 0, 0)
-        with pytest.raises(DegenerateFrameError):
-            structure_constants_from_frame([D1, f2, f3])
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            [D1, D2, U1_D1],
+            [VectorField.spatial(1, 1, 0), VectorField.spatial(1, -1, 0), U1_D1],
+            [D1, VectorField.spatial(0, parse("u1^2"), 0), D2],
+            [D1, VectorField.spatial(2, 0, 0), D2],
+            [D1, VectorField.spatial(parse("u2"), 0, 0), VectorField.spatial(parse("u2^2"), 0, 0)],
+        ],
+        ids=["unique_span", "coupled_rows", "bracket_outside_span", "no_unique_expansion",
+             "one_dimensional"],
+    )
+    def test_not_simply_transitive_frame_rejected(self, frame):
+        # an identically zero frame determinant is one fault with one message,
+        # whether the bracket expansions in the span are unique or not
+        messages = []
+        for build in (structure_constants_from_frame, invariant_coframe):
+            with pytest.raises(DegenerateFrameError) as err:
+                build(frame)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "simply transitively" in messages[0]
 
     @pytest.mark.parametrize("build", [structure_constants_from_frame, invariant_coframe])
     def test_u0_component_is_one_error_everywhere(self, build):
