@@ -254,8 +254,9 @@ def export_manifest(model: BianchiModel) -> str:
 
 
 def _read_sections(path: str) -> Dict[str, Dict[str, Tuple[str, int]]]:
-    """Section name -> {key: (value, line number)}; a repeated key keeps its
-    last value."""
+    """Section name -> {key: (value, line number)}.  A key given twice in a
+    section, also under a repeated header, is an error that names both
+    lines."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -276,8 +277,10 @@ def _read_sections(path: str) -> Dict[str, Dict[str, Tuple[str, int]]]:
             raise ManifestError(f"line {lineno}: content before any section")
         if "=" not in line:
             raise ManifestError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        sections[current][key.strip()] = (value.strip(), lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in sections[current]:
+            raise ManifestError(f"line {lineno}: {key} repeats line {sections[current][key][1]}")
+        sections[current][key] = (value, lineno)
     return sections
 
 

@@ -3,11 +3,12 @@
 The canonical equations of H = g^ij P_i P_j, P = p + A, are integrated with
 an embedded Verner 6(5) pair.  Metric and potential derivatives are exact:
 after concrete bindings are substituted for the abstract functions of u0,
-each instance generates one straight-line kernel that computes the
-symbolically nonzero entries of g, A, dg, dA and the frame xi in place
-(``expr.numeric_lines``, which evaluates each distinct exp, sin and cos
-once per call).  The kernel inverts g by cofactors with
-every zero entry folded away at generation time, and uses the closed form
+each instance generates two straight-line kernels that compute the
+symbolically nonzero entries they read in place (``expr.numeric_lines``,
+which evaluates each distinct exp, sin and cos once per call): the flow
+kernel reads g, A, dg and dA, and the invariants kernel reads g, A and the
+frame xi.  Each kernel inverts g by cofactors with every zero entry folded
+away at generation time; the flow uses the closed form
 d(g^-1) = -g^-1 dg g^-1, so dp_k = v.(d_k g).v - 2 v.(d_k A) with
 v = g^-1 P.  The monitored quantities are the Hamiltonian and the three
 generator contractions xi_a^i p_i.
@@ -19,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,14 +68,21 @@ def _standard_binding_items() -> Tuple[Tuple[str, Expr], ...]:
     return tuple(b.items())
 
 
-# -- the flow kernel ---------------------------------------------------------
+# -- the kernels -------------------------------------------------------------
 #
 # The bound g, A and frame are sparse (g has 4-10 nonzero entries of 16), so
-# each instance generates its kernel as straight-line source in which every
+# each instance generates its kernels as straight-line source in which every
 # symbolically zero entry is folded away.  Entry names in that source:
 # g01 = g_01 (upper triangle only, g is symmetric), a1 = A_1,
 # dg2_01 = d_2 g_01, da2_1 = d_2 A_1, xi0_3 = component 3 of the first
 # generator.
+
+
+def _kernel_names(names: Iterable[str], flow: bool) -> List[str]:
+    """The entries among ``names`` that the flow kernel (g, A, dg, dA) or the
+    invariants kernel (g, A, xi) reads, in the order given."""
+    prefixes = ("g", "a", "dg", "da") if flow else ("g", "a", "xi")
+    return [name for name in names if name.startswith(prefixes)]
 
 
 def _product(*factors: Optional[str]) -> Optional[str]:
@@ -100,17 +108,18 @@ _PERMUTATIONS = tuple(
 )
 
 
-def _kernel_source(names: Sequence[str], entry_lines: Sequence[str]) -> str:
-    """Source of ``_kernel`` over the nonzero entries ``names``.
+def _kernel_source(names: Sequence[str], entry_lines: Sequence[str], flow: bool) -> str:
+    """Source of ``_flow`` or ``_invariants`` over the nonzero entries ``names``.
 
-    ``_kernel(u0..u3, p0..p3, flow)`` first runs ``entry_lines``, which
+    The kernel ``(u0..u3, p0..p3)`` first runs ``entry_lines``, which
     assign every entry in ``names`` from u0..u3 (see ``expr.numeric_lines``).
     It starts from v = g^-1 P with P = p + A,
-    where g^-1 is the adjugate (cofactors) over the determinant.  With
-    ``flow`` true it returns the canonical flow du = 2v,
-    dp_k = v.(d_k g).v - 2 v.(d_k A); otherwise the invariants H = P.v and
-    Y_b = xi_b.p.  It expects ``isfinite``, ``IntegrationError`` and the
-    functions the entry lines call in its globals.
+    where g^-1 is the adjugate (cofactors) over the determinant.  ``_flow``
+    returns the canonical flow du = 2v, dp_k = v.(d_k g).v - 2 v.(d_k A);
+    ``_invariants`` returns H = P.v and Y_b = xi_b.p.  ``names`` holds the
+    entries that kernel reads (see ``_kernel_names``).  The kernel expects
+    ``isfinite``, ``IntegrationError`` and the functions the entry lines
+    call in its globals.
     """
     present = set(names)
 
@@ -118,7 +127,7 @@ def _kernel_source(names: Sequence[str], entry_lines: Sequence[str]) -> str:
         return name if name in present else None
 
     g = [[entry(f"g{min(i, j)}{max(i, j)}") for j in range(4)] for i in range(4)]
-    lines = ["def _kernel(u0, u1, u2, u3, p0, p1, p2, p3, flow):", *entry_lines]
+    lines = [f"def {'_flow' if flow else '_invariants'}(u0, u1, u2, u3, p0, p1, p2, p3):", *entry_lines]
 
     def assign(name: str, src: Optional[str]) -> Optional[str]:
         if src is not None:
@@ -159,10 +168,11 @@ def _kernel_source(names: Sequence[str], entry_lines: Sequence[str]) -> str:
     for i in range(4):
         src = _signed_sum((1, _product(adj[i, j], P[j])) for j in range(4))
         v.append(assign(f"v{i}", src and f"({src})/det"))
-    h = _signed_sum((1, _product(P[i], v[i])) for i in range(4))
-    ys = [_signed_sum((1, _product(entry(f"xi{b}_{i}"), f"p{i}")) for i in range(4)) for b in range(3)]
-    lines.append("    if not flow:")
-    lines.append(f"        return [{', '.join(src or '0.0' for src in [h] + ys)}]")
+    if not flow:
+        h = _signed_sum((1, _product(P[i], v[i])) for i in range(4))
+        ys = [_signed_sum((1, _product(entry(f"xi{b}_{i}"), f"p{i}")) for i in range(4)) for b in range(3)]
+        lines.append(f"    return [{', '.join(src or '0.0' for src in [h] + ys)}]")
+        return "\n".join(lines) + "\n"
     w = [assign(f"w{i}", _product("2.0", v[i])) for i in range(4)]  # w = 2v = du
     dp = []
     for k in range(4):
@@ -183,10 +193,20 @@ _KERNEL_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
 def _kernel_error(err: Exception, u: List[float]) -> IntegrationError:
     """The IntegrationError for ``err``, raised by a kernel evaluated at coordinates u."""
     if isinstance(err, ZeroDivisionError):
-        # the kernel evaluates the frame too, which may divide by zero
-        # where the chart degenerates (the rotation chart at u1 = 0)
+        # an entry may divide by zero where the chart degenerates: the
+        # invariants kernel's frame does at the rotation chart's pole u1 = 0,
+        # where the flow kernel, which reads no frame, finds det g = 0
         return IntegrationError(f"metric singular at u = {u}: a metric or frame entry divides by zero")
     return IntegrationError(f"state left the representable domain: {err}")
+
+
+def _evaluate(kernel, args: List[float]) -> list:
+    """``kernel(*args)`` on the 8 floats of a state, a kernel error raised as
+    IntegrationError."""
+    try:
+        return kernel(*args)
+    except _KERNEL_ERRORS as err:
+        raise _kernel_error(err, args[:4]) from None
 
 
 @dataclass
@@ -218,8 +238,11 @@ class ModelInstance:
         missing = needed - set(self.params)
         if missing:
             raise IntegrationError(f"unbound parameters: {sorted(missing)}")
-        names = list(entries)
-        source = _kernel_source(names, ex.numeric_lines(list(entries.values()), names, self.params))
+        source = ""
+        for flow in (True, False):
+            names = _kernel_names(entries, flow)
+            lines = ex.numeric_lines([entries[n] for n in names], names, self.params)
+            source += _kernel_source(names, lines, flow)
         scope = {
             "exp": math.exp,
             "sin": math.sin,
@@ -229,7 +252,7 @@ class ModelInstance:
         }
         code = compile(source, f"<kernel {self.model.type_tag}>", "exec")
         exec(code, scope)  # noqa: S102 - generated from the bound entries
-        self._kernel = scope["_kernel"]
+        self._kernel, self._invariants_kernel = scope["_flow"], scope["_invariants"]
 
     def _entries(self) -> Dict[str, Expr]:
         """The bound, symbolically nonzero kernel entries by name, in kernel order."""
@@ -247,20 +270,13 @@ class ModelInstance:
     def _bind(self, e: Expr) -> Expr:
         return substitute(e, funcs=self.bindings)
 
-    def _call(self, y, flow: bool) -> list:
-        args = np.asarray(y, dtype=float).tolist()
-        try:
-            return self._kernel(*args, flow)
-        except _KERNEL_ERRORS as err:
-            raise _kernel_error(err, args[:4]) from None
-
     def rhs(self, y) -> np.ndarray:
         """The canonical flow (du, dp) at the phase-space point y = (u, p)."""
-        return np.array(self._call(y, True))
+        return np.array(_evaluate(self._kernel, np.asarray(y, dtype=float).tolist()))
 
     def invariants(self, y) -> List[float]:
-        """[H, Y1, Y2, Y3] at y, from one kernel evaluation."""
-        return self._call(y, False)
+        """[H, Y1, Y2, Y3] at y, from one invariants-kernel evaluation."""
+        return _evaluate(self._invariants_kernel, np.asarray(y, dtype=float).tolist())
 
     def hamiltonian(self, y) -> float:
         return self.invariants(y)[0]
@@ -363,73 +379,110 @@ def _hmax(tol: float) -> float:
     return _HMAX_REF * (tol / 1e-10) ** _HMAX_EXPONENT
 
 
-def _step_source() -> str:
-    """Source of ``_step(kernel, h, y, k0) -> (ynew, err, k8)``, one Verner
-    attempt of length h from the 8 floats y, whose derivative is k0.
+def _names(prefix: str) -> str:
+    return ", ".join(f"{prefix}{i}" for i in range(8))
 
-    Stage s calls ``kernel(s0..s7, True)`` at y + sum_j (h*a_sj) k_j; ynew is
-    y + sum_j (h*b_j) k_j and err is 0.0 + sum_j (h*e_j) k_j.  Zero
-    coefficients are left out, and each sum adds its terms left to right in
-    j order, which is how a running sum of float64 arrays rounds: the step
-    equals an elementwise numpy stage loop bit for bit.  A kernel error is
-    reported at the coordinates s0..s3 of the stage that raised it.  Expects
+
+def _norm_lines() -> List[str]:
+    """Lines that set ``norm`` to max_i |e_i| / (tol + tol * max(|y_i|, |s_i|))
+    over the 8 floats e (error estimate), y (start) and s (new state), or to
+    NaN when any term is NaN, as numpy's max and maximum give it.
+
+    A term r_i is NaN when e_i or s_i is NaN; the sum of the r_i and |y_i|,
+    all in [0, inf] or NaN, is NaN exactly when some term or some y_i is.
+    Otherwise Python's max of the r_i is the largest.
+    """
+    lines = []
+    for i in range(8):
+        lines += [
+            f"    a{i} = abs(y{i})",
+            f"    b{i} = abs(s{i})",
+            f"    r{i} = abs(e{i}) / (tol + tol * (a{i} if a{i} >= b{i} else b{i}))",
+        ]
+    terms = [f"r{i}" for i in range(8)] + [f"a{i}" for i in range(8)]
+    return lines + [
+        f"    norm = max({_names('r')})",
+        f"    nan = {' + '.join(terms)}",
+        "    if nan != nan:",
+        "        norm = nan",
+    ]
+
+
+def _step_source() -> str:
+    """Source of ``_step(kernel, h, y, k0, tol) -> (ynew, err_norm, k8)``,
+    one Verner attempt of length h from the 8 floats y, whose derivative is
+    k0, and of ``_error_norm``.
+
+    Stage s calls ``kernel(s0..s7)`` at y + sum_j (h*a_sj) k_j.  The pair
+    is FSAL: b is the last stage's row, so ynew is that stage's point.  The
+    error estimate is sum_j (h*e_j) k_j.  Zero coefficients are left out,
+    and each sum adds its terms left to right in j order, which is how a
+    running sum of float64 arrays rounds: the step equals an elementwise
+    numpy stage loop bit for bit.  (That loop starts the estimate from
+    0.0, which can change only the sign of a zero; the norm reads its
+    absolute value.)  err_norm is the estimate's norm by the same lines as
+    ``_error_norm`` (see ``_norm_lines``).  A kernel error is reported at
+    the coordinates s0..s3 of the stage that raised it.  Expects
     ``_KERNEL_ERRORS`` and ``_kernel_error`` in its globals.
     """
-
-    def names(prefix: str) -> str:
-        return ", ".join(f"{prefix}{i}" for i in range(8))
-
     lines = [
-        "def _step(kernel, h, y, k0):",
-        f"    {names('y')}, = y",
-        f"    {names('k0_')}, = k0",
+        "def _step(kernel, h, y, k0, tol):",
+        f"    {_names('y')}, = y",
+        f"    {_names('k0_')}, = k0",
         "    try:",
     ]
 
-    def combination(indent: str, tag: str, start: str, coeffs) -> List[str]:
-        # binds h*c_j to {tag}j once; returns start_i + sum_j {tag}j*k_j_i
+    def combination(indent: str, tag: str, coeffs) -> List[str]:
+        # binds h*c_j to {tag}j once; returns the sums sum_j {tag}j*k_j_i
         used = [j for j, c in enumerate(coeffs) if c]
         lines.extend(f"{indent}{tag}{j} = h * {coeffs[j]!r}" for j in used)
-        return [start.format(i) + "".join(f" + {tag}{j}*k{j}_{i}" for j in used) for i in range(8)]
+        return [" + ".join(f"{tag}{j}*k{j}_{i}" for j in used) for i in range(8)]
 
     for s in range(1, 9):
-        point = combination("        ", f"c{s}_", "y{}", _V65_A[s])
-        lines += [f"        s{i} = {src}" for i, src in enumerate(point)]
-        lines += [f"        k{s} = kernel({names('s')}, True)", f"        {names(f'k{s}_')}, = k{s}"]
+        point = combination("        ", f"c{s}_", _V65_A[s])
+        lines += [f"        s{i} = y{i} + {src}" for i, src in enumerate(point)]
+        lines += [f"        k{s} = kernel({_names('s')})", f"        {_names(f'k{s}_')}, = k{s}"]
     lines += [
         "    except _KERNEL_ERRORS as err:",
         "        raise _kernel_error(err, [s0, s1, s2, s3]) from None",
     ]
-    ynew = combination("    ", "b", "y{}", _V65_B)
-    err = combination("    ", "e", "0.0", _V65_E)
-    lines.append(f"    return ({', '.join(ynew)}), ({', '.join(err)}), k8")
+    lines += [f"    e{i} = {src}" for i, src in enumerate(combination("    ", "he", _V65_E))]
+    lines += _norm_lines()
+    lines.append(f"    return ({_names('s')}), norm, k8")
+    lines += [
+        "def _error_norm(err, y, ynew, tol):",
+        f"    {_names('e')}, = err",
+        f"    {_names('y')}, = y",
+        f"    {_names('s')}, = ynew",
+        *_norm_lines(),
+        "    return norm",
+    ]
     return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=1)
-def _verner_step():
-    """The generated ``_step``, built on first use rather than at import."""
+def _verner_scope() -> dict:
+    """The globals of the generated ``_step`` and ``_error_norm``, built on
+    first use rather than at import.
+
+    ``_error_norm(err, y, ynew, tol)`` runs the step's norm lines (see
+    ``_norm_lines``) on 8 floats each, and equals numpy's
+    ``max(abs(err) / (tol + tol * maximum(abs(y), abs(ynew))))`` for every
+    input.
+    """
     scope = {"_KERNEL_ERRORS": _KERNEL_ERRORS, "_kernel_error": _kernel_error}
     code = compile(_step_source(), "<verner step>", "exec")
     exec(code, scope)  # noqa: S102 - generated from the coefficient tuples
-    return scope["_step"]
+    return scope
 
 
-def _error_norm(err, y, ynew, tol: float) -> float:
-    """max_i |err_i| / (tol + tol * max(|y_i|, |ynew_i|)), NaN when any term is NaN.
+def _verner_step():
+    return _verner_scope()["_step"]
 
-    Equals numpy's ``max(abs(err) / (tol + tol * maximum(abs(y), abs(ynew))))``
-    for every input: numpy's max and maximum propagate NaN, where Python's
-    ``max`` keeps its first argument when a later one is NaN.
-    """
-    worst = 0.0
-    for e, a, b in zip(err, y, ynew):
-        r = abs(e) / (tol + tol * max(abs(a), abs(b)))
-        if r != r or b != b:  # max() keeps abs(a) over a NaN abs(b)
-            return math.nan
-        if r > worst:
-            worst = r
-    return worst
+
+def _intractable(y) -> str:
+    """The tail of the message for a trajectory that ran off to infinity."""
+    return f"the trajectory has become numerically intractable (|y| up to {float(np.max(np.abs(y))):.3g})"
 
 
 def integrate(
@@ -446,8 +499,9 @@ def integrate(
     tolerance-dependent bound (see _hmax).  Trajectories whose stiffness
     exhausts the step budget raise IntegrationError instead of spinning.
     Each attempt is one generated, numpy-free function on plain floats
-    (see _step_source) that calls the instance's kernel directly; it is
-    bit-identical to the numpy stage loop it replaced.
+    (see _step_source) that calls the instance's flow kernel directly and
+    returns the error norm; it is bit-identical to the numpy stage loop it
+    replaced.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InputError(f"tolerance must be positive and finite, got {tol}")
@@ -459,69 +513,67 @@ def integrate(
     if t0 == t1:
         raise InputError("empty integration span")
     direction = 1.0 if t1 > t0 else -1.0
-    traj = Trajectory(taus=[t0], states=[state0.as_vector()], tolerance=tol, rhs_evals=1)
-    y = traj.states[0].tolist()
+    taus, states = [t0], [state0.as_vector()]
+    y = states[0].tolist()
     t = t0
     hmax = _hmax(tol)
     h = direction * min(hmax, abs(t1 - t0) / 10.0)
     step = _verner_step()
     kernel = inst._kernel
-    k0 = inst._call(y, True)
+    k0 = _evaluate(kernel, y)
+    accepted = rejected = 0
+    h_min, h_max = math.inf, 0.0
     span = abs(t1 - t0)
     end_eps = 1e-12 * max(1.0, span)
     min_step = 1e-13 * max(1.0, span)
     while (t1 - t) * direction > end_eps:
         if abs(h) >= abs(t1 - t):
             h = t1 - t
-        ynew, err, k8 = step(kernel, h, y, k0)
-        traj.rhs_evals += 8
-        err_norm = _error_norm(err, y, ynew, tol)
+        ynew, err_norm, k8 = step(kernel, h, y, k0, tol)
         if err_norm <= 1.0:
             t += h
             y = ynew
             k0 = k8  # FSAL: the last stage is the derivative at the new point
-            traj.taus.append(t)
-            traj.states.append(np.array(y))
-            traj.accepted += 1
-            traj.h_min = min(traj.h_min, abs(h))
-            traj.h_max = max(traj.h_max, abs(h))
+            taus.append(t)
+            states.append(np.array(y))
+            accepted += 1
+            h_min = min(h_min, abs(h))
+            h_max = max(h_max, abs(h))
         else:
-            traj.rejected += 1
+            rejected += 1
         factor = 0.9 * err_norm ** (-1.0 / 6.0) if err_norm > 0 else 5.0
         h = direction * min(abs(h) * min(5.0, max(0.2, factor)), hmax)
         if abs(h) < min_step and (t1 - t) * direction > abs(h):
-            raise IntegrationError(f"step size underflow at tau = {t}")
-        if traj.accepted + traj.rejected > max_steps:
-            raise IntegrationError(
-                f"step budget exhausted at tau = {t:.6g}: the trajectory has "
-                f"become numerically intractable (|y| up to {float(np.max(np.abs(y))):.3g})"
-            )
-    return traj
+            raise IntegrationError(f"step size underflow at tau = {t}: {_intractable(y)}")
+        if accepted + rejected > max_steps:
+            raise IntegrationError(f"step budget exhausted at tau = {t:.6g}: {_intractable(y)}")
+    return Trajectory(
+        taus=taus, states=states, accepted=accepted, rejected=rejected, tolerance=tol,
+        rhs_evals=1 + 8 * (accepted + rejected), h_min=h_min, h_max=h_max,
+    )
+
+
+def _invariant_rows(inst: ModelInstance, rows: List[List[float]]) -> List[list]:
+    """[H, Y1, Y2, Y3] at each state row, one invariants-kernel call per row."""
+    kernel = inst._invariants_kernel
+    return [_evaluate(kernel, row) for row in rows]
 
 
 def conserved_drift(traj: Trajectory, inst: ModelInstance) -> Dict[str, float]:
-    """Max relative drift of H and the three generator integrals."""
-    names = ("H", "Y1", "Y2", "Y3")
-    ref = None
-    worst = dict.fromkeys(names, 0.0)
-    for y in traj.states:
-        vals = inst.invariants(y)
-        if ref is None:
-            ref = vals
-            continue
-        for name, v, v0 in zip(names, vals, ref):
-            drift = abs(v - v0) / max(1.0, abs(v0))
-            if drift > worst[name]:
-                worst[name] = drift
-    return worst
+    """Max relative drift of H and the three generator integrals.
+
+    The drift of a state is |v - v0| / max(1.0, |v0|) against the first
+    state; a NaN drift is passed over, as Python's ``max`` does.
+    """
+    values = np.array(_invariant_rows(inst, np.asarray(traj.states, dtype=float).tolist()))
+    drifts = (np.abs(values[1:] - values[0]) / np.maximum(1.0, np.abs(values[0]))).T.tolist()
+    return {name: max([0.0, *column]) for name, column in zip(("H", "Y1", "Y2", "Y3"), drifts)}
 
 
 def trajectory_rows(traj: Trajectory, inst: ModelInstance):
     """Rows (tau, u0..u3, p0..p3, H, Y1..Y3) for delimited-text export."""
-    rows = []
-    for t, y in zip(traj.taus, traj.states):
-        rows.append((t, *y.tolist(), *inst.invariants(y)))
-    return rows
+    states = np.asarray(traj.states, dtype=float).tolist()
+    return [(t, *y, *vals) for t, y, vals in zip(traj.taus, states, _invariant_rows(inst, states))]
 
 
 def random_initial_states(model: BianchiModel, count: int, seed: int, radius: float = 0.3):

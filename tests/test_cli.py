@@ -237,6 +237,40 @@ class TestManifests:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_repeated_key_rejected(self, capsys, models, tmp_path):
+        # the last value used to win: this file verified as PASS although its
+        # first, non-admissible A2 is what a reader sees first
+        text = export_manifest(models["I"]).replace("A2 = beta0\n", "A2 = beta0 + u1^2\nA2 = beta0\n")
+        lineno = text.splitlines().index("A2 = beta0") + 1
+        path = tmp_path / "repeat.manifest"
+        path.write_text(text)
+        message = f"line {lineno}: A2 repeats line {lineno - 1}"
+        with pytest.raises(ManifestError) as err:
+            load_manifest(str(path))
+        assert str(err.value) == message
+        rc = cli.main(["verify", "--manifest", str(path), "--samples", "5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_key_repeated_under_a_second_header_rejected(self, tmp_path):
+        path = tmp_path / "repeat.manifest"
+        path.write_text("\n".join(_FLAT_MANIFEST + _FLAT_METRIC + ["[frame]", "xi2 = 0, 0, 1, 0"]))
+        with pytest.raises(ManifestError, match=r"^line 18: xi2 repeats line 5$"):
+            load_manifest(str(path))
+
+    def test_repeated_binding_rejected(self, capsys, tmp_path):
+        path = tmp_path / "b.manifest"
+        path.write_text("[bindings]\ngamma0 = u0\n# the second one\ngamma0 = sin(u0)\n")
+        with pytest.raises(ManifestError, match=r"^line 4: gamma0 repeats line 2$"):
+            cli.load_bindings(str(path))
+        rc = cli.main(["simulate", "--group", "I", "--bindings", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: line 4: gamma0 repeats line 2\n"
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "notes.manifest"
         path.write_text("\n".join(_FLAT_MANIFEST + _FLAT_METRIC + ["[notes]", "author = x"]))
@@ -861,6 +895,32 @@ def test_verify_output_is_pinned(capsys, group):
     out, masked = _FLOAT_RESIDUAL.subn(r'\1"masked"', capsys.readouterr().out)
     assert masked == 1
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[group]
+
+
+# sha256 of `simulate --group G --tau 1` stdout followed by its stderr: every
+# trajectory row with repr floats, then the drift and step-statistics lines;
+# the same under PYTHONHASHSEED 1, 2 and 3.  The rows come from the C
+# library's exp, sin and cos and from numpy's seeded start states, so another
+# platform may change the last digits.
+_SIMULATE_SHA256 = {
+    "I": "33b9ef4a25511377d93c2bbea8aac0dcbc891a49b97a2c564a0062ec86e1d497",
+    "II": "5b0e37c308310c68335c6e48246f5d9c175fd6bef82e82fff8bfd4f0f7aa69da",
+    "III": "34d9e12aa5fcfa79a1c3babfac5ba59caec3df5aeb3480384e27f187ffd5a7da",
+    "IV": "89a7e528f02fcc2c0aca2c07ae182f593f855ba40418383e54f65e3335431274",
+    "V": "e4fc70c8d340d825acd8013fe44716981636226c2e47e334e9c1d0ffbd6bf173",
+    "VI": "ccd8430fa0cf71ef89e39b221b901757021bfa78a285f16626abc07fa1c9735b",
+    "VII": "202fd2a0239ec3ca2e6fe55000dd43a528d6e93a3038e8e92e373d1d61a902a8",
+    "VIII": "15a87cd93b3802692fe38e1203741b00121ffdb5b13bb1bf807f4dd7780afc4a",
+    "IX": "65a5db3cd1f280a008a5a1ce4fa15273e0b717df87aa6443542cd1409363aa33",
+}
+
+
+@pytest.mark.parametrize("group", list(_SIMULATE_SHA256))
+def test_simulate_output_is_pinned(capsys, group):
+    assert cli.main(["simulate", "--group", group, "--tau", "1"]) == 0
+    captured = capsys.readouterr()
+    printed = captured.out + captured.err
+    assert hashlib.sha256(printed.encode()).hexdigest() == _SIMULATE_SHA256[group]
 
 
 def _run_module(*args, timeout=120):
