@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import expr as ex
+from ._symint import det
 from .expr import Expr, is_zero, parse
 from . import geometry
 from .geometry import (
@@ -34,7 +35,6 @@ from .geometry import (
 from .emfield import (
     KgfChecker,
     Potential,
-    admissibility_residual,
     central_terms,
     compatibility_residual,
 )
@@ -133,14 +133,15 @@ def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> 
     What ``build_model`` derives is not checked again: the structure
     constants come from the frame (a frame that does not close is a load
     error), the field is F = dA and each integral's gamma is -xi . A.
-    Killing, admissibility and "no central term" are the independent
-    checks.  Admissibility tests L_xi A = 0 in the potential's own gauge
-    (ROADMAP direction 11 gives the gauge-free form); it, Killing and field
-    invariance are one covariant Lie derivative, of A, g and F.  "No central
+    Killing, field invariance and "no central term" are the independent
+    checks, and none of them reads the gauge of A.  The field is admissible,
+    L_xi A = d chi_xi for some chi_xi, exactly when L_xi F = 0 on the simply
+    connected chart, so field invariance is the admissibility test; it and
+    Killing are one covariant Lie derivative, of F and g.  "No central
     term" tests the algebraic constraints [X_a, X_b] = C^g_ab X_g on F and C
-    alone, so it does not depend on the gauge (``central_terms``).  Field
-    invariance and the second-order scalar conditions follow from
-    admissibility and stay as cross-checks.
+    alone (``central_terms``).  The sampled second-order scalar conditions
+    are the one check that reads the gauge: they hold when L_xi A = 0, so
+    A + d lambda can fail them although F is unchanged.
     """
     if samples < 1:
         # the sampled checks would pass with no point evaluated
@@ -175,15 +176,7 @@ def run_verification(model: BianchiModel, samples: int = 100, seed: int = 0) -> 
         entries = [(f"g[{i}{j}]", res[i][j]) for i in range(4) for j in range(i, 4)]
         checks.append(_sym_check(f"killing equations, generator {a + 1}", entries))
 
-    # admissibility, the central term, invariance of F
-    for a, X in enumerate(model.frame):
-        res = admissibility_residual(model.potential, model.field, X)
-        checks.append(
-            _sym_check(
-                f"admissibility, generator {a + 1}",
-                [(f"R[{i}]", res[i]) for i in range(4)],
-            )
-        )
+    # the central term and invariance of F
     central = central_terms(model.constants, model.frame, [model.field])
     checks.append(_sym_check("no central term", [("central terms", ex.number(central))]))
     for a, X in enumerate(model.frame):
@@ -317,9 +310,12 @@ def load_manifest(path: str) -> Tuple[BianchiModel, Dict[str, Expr]]:
     Returns the model together with any [bindings] section entries (used by
     the simulate command).  Structure constants are always derived from the
     declared frame; a frame that is not simply transitive or does not close
-    is a load error.  A manifest that gives the metric entrywise in [metric]
-    carries no coframe.  A section or entry that the loader does not read is
-    a load error, and so is a manifest with both [coframe] and [metric].
+    is a load error, and so is a metric whose determinant, or whose block
+    g_ij on the orbits u0 = const, is identically zero.  A manifest that
+    gives the metric entrywise in [metric] carries no coframe.  A section or
+    entry that the loader does not read is a load error, and so is a
+    manifest with both [coframe] and [metric].  A potential with A_0 != 0 is
+    accepted.
     """
     sections = _read_sections(path)
     for section, entries in sections.items():
@@ -367,6 +363,13 @@ def load_manifest(path: str) -> Tuple[BianchiModel, Dict[str, Expr]]:
         model = catalog.build_model(name, params, frame, coframe, metric, potential)
     except geometry.GeometryError as err:
         raise ManifestError(f"frame does not define an algebra: {err}") from None
+    # the group acts on non-null orbits V3 of a non-degenerate V4
+    if is_zero(metric.determinant()):
+        raise ManifestError("metric is degenerate: det g is identically zero")
+    if is_zero(det([row[1:] for row in metric.entries[1:]])):
+        raise ManifestError(
+            "the orbits u0 = const are null: det g_ij (i, j = 1..3) is identically zero"
+        )
     bindings = sections.get("bindings", {})
     return model, {k: _components(sections, "bindings", k, 1, parameters)[0] for k in bindings}
 

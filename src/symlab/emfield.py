@@ -2,9 +2,12 @@
 integrals intact.
 
 Every condition is implemented as a computable residual: identically-zero
-residuals certify that the field admits the symmetry operators.  Symbolic
-residuals use the exact engine.  The two second-order scalar conditions,
-which involve the inverse metric, are checked numerically at sample points;
+residuals certify that the field admits the symmetry operators.  A field is
+admissible when L_xi A = d chi for some chi, which on the simply connected
+chart holds exactly when L_xi F = 0 (``compatibility_residual``); that test
+and ``central_terms`` read F, not the gauge of A.  Symbolic residuals use
+the exact engine.  The two second-order scalar conditions, which involve
+the inverse metric, are checked numerically at sample points;
 their derivatives along a generator are exact (the chain rule applied to
 compiled first and second derivatives of g and A), not finite differences.
 Only that numeric check uses numpy: ``KgfChecker`` loads it when it first
@@ -160,9 +163,12 @@ def _contract(X: VectorField, A: Sequence[Expr]) -> Expr:
 
 def admissibility_residual(A: Potential, F: Optional[FieldTensor], X: VectorField):
     """(L_X A)_i: the Lie derivative of the potential along X, zero iff the
-    field is admissible in A's gauge (chi = 0).  It is the covariant Lie
-    derivative that the Killing and field-invariance checks take of g and
-    F; F = dA is not read."""
+    field is admissible in A's own gauge (chi = 0), so A + d lambda can fail
+    it with the same F.  The gauge-free test is L_X F = 0
+    (``compatibility_residual``), which ``verify`` runs; this residual backs
+    the type IX erratum.  It is the covariant Lie derivative that the
+    Killing and field-invariance checks take of g and F; F = dA is not
+    read."""
     return _lie_derivative(A.components, X)
 
 
@@ -241,7 +247,11 @@ def _sym_index():
 
 
 class KgfChecker:
-    """Numeric residuals of the two scalar consequences of admissibility.
+    """Numeric residuals of two scalar conditions that L_xi A = 0 implies.
+
+    They read A itself, so they hold in an invariant gauge and can fail for
+    A + d lambda with the same F; of ``verify``'s checks, this is the one
+    that depends on the gauge.
 
     Checks xi^k d_k(A_l A^l) and xi^k d_k(d_l A^l + A^l chi_,l) at points,
     with chi = (1/2) ln|det g|.  The outer derivative is exact: g, A and

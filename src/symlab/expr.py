@@ -1154,7 +1154,10 @@ def numeric_lines(
     call is bound once to a local ``_t0, _t1, ...``, numbered in order of
     first use and assigned just before the first statement that reads it.
     A monomial keeps its factor order and its powers (``_t3**-1``), so every
-    target gets the float that evaluating the calls in place would give.
+    target gets the float that evaluating the calls in place would give.  A
+    factor 1.0 or -1.0 is left out and a negative term is subtracted
+    (``x``, ``-x``, ``a-b`` for ``1.0*x``, ``-1.0*x``, ``a+-b``), each exact
+    in IEEE arithmetic.
     """
     param_values = dict(param_values or {})
     slot: dict = {}
@@ -1174,6 +1177,21 @@ def numeric_lines(
     def power(s: str, e: int) -> str:
         return s if e == 1 else f"{s}**{e}"
 
+    def scaled(const: float, factors) -> str:
+        if not factors:
+            return repr(const)
+        prod = "*".join(factors)
+        if const == 1.0:
+            return prod
+        if const == -1.0:
+            return "-" + prod
+        return f"{const!r}*{prod}"
+
+    def terms_src(terms) -> str:
+        if not terms:
+            return "0.0"
+        return terms[0] + "".join(t if t.startswith("-") else "+" + t for t in terms[1:])
+
     def factor_src(key, e: int):
         """Returns (constant factor or None, source or None)."""
         kind = key[0]
@@ -1186,7 +1204,7 @@ def numeric_lines(
         if kind == "tc":
             _, fn, base, rr = key
             if base and ("p", base) in slot:
-                return None, power(call(fn, f"{float(rr)!r}*{slot[('p', base)]}"), e)
+                return None, power(call(fn, scaled(float(rr), [slot[("p", base)]])), e)
             ang = float(rr) * (param_values[base] if base else 1.0)
             return (math.sin(ang) if fn == "sin" else math.cos(ang)) ** e, None
         raise UnsupportedExpressionError(
@@ -1194,8 +1212,12 @@ def numeric_lines(
         )
 
     def lf_src(lf) -> str:
-        parts = [f"({sum_src(cp)})*u{i}" for i, cp in enumerate(lf) if cp]
-        return "+".join(parts) if parts else "0.0"
+        terms = []
+        for i, cp in enumerate(lf):
+            if cp:
+                c = sum_src(cp)
+                terms.append({"1.0": f"u{i}", "-1.0": f"-u{i}"}.get(c, f"({c})*u{i}"))
+        return terms_src(terms)
 
     def mono_src(m: Mono) -> str:
         factors = []
@@ -1210,15 +1232,10 @@ def numeric_lines(
             factors.append(call("exp", lf_src(m.expl)))
         for fn, lf, e in m.trig:
             factors.append(power(call(fn, lf_src(lf)), e))
-        src = repr(const)
-        if factors:
-            src += "*" + "*".join(factors)
-        return src
+        return scaled(const, factors)
 
     def sum_src(monos) -> str:
-        if not monos:
-            return "0.0"
-        return "+".join(mono_src(m) for m in monos)
+        return terms_src([mono_src(m) for m in monos])
 
     lines = []
     for target, e in zip(targets, exprs):

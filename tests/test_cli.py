@@ -32,9 +32,6 @@ CHECK_NAMES = [
     "killing equations, generator 1",
     "killing equations, generator 2",
     "killing equations, generator 3",
-    "admissibility, generator 1",
-    "admissibility, generator 2",
-    "admissibility, generator 3",
     "no central term",
     "field invariance, generator 1",
     "field invariance, generator 2",
@@ -76,11 +73,15 @@ def _printed_viii_constants(m):
 # (model, mutation, the checks it fails); together the rows fail every check
 _FAILING_INPUTS = [
     ("IX", _g11_plus_u2, CHECK_NAMES[1:4] + ["second-order scalar conditions"]),
-    ("I", _a2_plus_u1, [CHECK_NAMES[i] for i in (4, 7, 11)]),
-    ("II", _a2_plus_u1_squared, [CHECK_NAMES[i] for i in (4, 6, 7, 8, 10, 11)]),
-    ("IX", _a2_plus_u1_squared, [CHECK_NAMES[i] for i in (5, 6, 9, 10, 11)]),
+    ("I", _a2_plus_u1, [CHECK_NAMES[i] for i in (4, 8)]),
+    ("II", _a2_plus_u1_squared, [CHECK_NAMES[i] for i in (4, 5, 7, 8)]),
+    ("IX", _a2_plus_u1_squared, [CHECK_NAMES[i] for i in (6, 7, 8)]),
     ("VIII", _printed_viii_constants, ["jacobi identity"]),
 ]
+
+
+# gauge functions lambda; A + d lambda leaves F = dA as it is
+_GAUGES = ["u1*u2*u3", "sin(u2)", "exp(u1)*cos(u3)", "u0*u1*u2*u3", "u2^2*cos(u1 + u3)"]
 
 
 class TestRunVerification:
@@ -108,6 +109,17 @@ class TestRunVerification:
     def test_mutation_fails_its_checks(self, models, tag, mutate, failing):
         rep = run_verification(mutate(models[tag]), samples=3, seed=0)
         assert [c.name for c in rep.checks if c.verdict == "fail"] == failing
+
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_symbolic_checks_read_no_gauge(self, models, tag):
+        # A + d lambda has the same F, so every exact verdict stays a pass
+        m = models[tag]
+        for gauge in _GAUGES:
+            A = m.potential.shifted_by_gradient(ex.parse(gauge))
+            shifted = catalog.build_model(tag, m.params, m.frame, m.coframe, m.metric, A, m.errata)
+            rep = run_verification(shifted, samples=1, seed=0)
+            failing = [c.name for c in rep.checks if c.mode == "symbolic" and c.verdict == "fail"]
+            assert failing == [], (gauge, failing)
 
     def test_every_check_can_fail(self, models):
         # a check that no input fails would pass by construction
@@ -153,6 +165,71 @@ _FLAT_METRIC = ["[metric]", "g00 = e", "g11 = a11", "g22 = a22", "g33 = a33"]
 _FLAT_COFRAME = ["[coframe]", "s1 = 1, 0, 0", "s2 = 0, 1, 0", "s3 = 0, 0, 1"]
 
 
+# a metric whose g11 overflows a double on part of the sampled range
+_OVERFLOW_METRIC_MANIFEST = """[model]
+name = overflow
+[frame]
+xi1 = 0, 1, 0, 0
+xi2 = 0, 0, 1, 0
+xi3 = 0, 0, 0, 1
+[metric]
+g00 = -1
+g11 = 10^300*exp(30*u0)
+g22 = 1
+g33 = 1
+[potential]
+A0 = 0
+A1 = alpha0
+A2 = beta0
+A3 = gamma0
+"""
+
+
+# a translation frame whose orbits u0 = const carry g_ij = diag(0, 1, 1)
+_NULL_ORBIT_MANIFEST = """[model]
+name = null
+[frame]
+xi1 = 0, 1, 0, 0
+xi2 = 0, 0, 1, 0
+xi3 = 0, 0, 0, 1
+[metric]
+g01 = 1
+g22 = 1
+g33 = 1
+[potential]
+A0 = 0
+A1 = alpha0
+A2 = beta0
+A3 = gamma0
+"""
+_DEGENERATE = "metric is degenerate: det g is identically zero"
+_NULL_ORBITS = "the orbits u0 = const are null: det g_ij (i, j = 1..3) is identically zero"
+
+
+def _ii_with_metric(models, g00):
+    text = export_manifest(models["II"])
+    head, _coframe = text.split("[coframe]")
+    potential = "[potential]" + text.split("[potential]")[1]
+    return head + f"[metric]\ng00 = {g00}\n\n" + potential
+
+
+# (manifest text from the catalog models, the load error)
+_DEGENERATE_METRICS = {
+    "null-orbits": lambda models: (_NULL_ORBIT_MANIFEST, _NULL_ORBITS),
+    "coframe-s3-equals-s2": lambda models: (
+        export_manifest(models["II"]).replace("s3 = 0, 0, 1", "s3 = 0, 1, 0"),
+        _DEGENERATE,
+    ),
+    "metric-g00-zero": lambda models: (_ii_with_metric(models, "0"), _DEGENERATE),
+    "metric-g00-minus-one": lambda models: (_ii_with_metric(models, "-1"), _DEGENERATE),
+    # a Bianchi I metric without g11
+    "singular": lambda models: (
+        _OVERFLOW_METRIC_MANIFEST.replace("g11 = 10^300*exp(30*u0)\n", ""),
+        _DEGENERATE,
+    ),
+}
+
+
 class TestManifests:
     def test_export_round_trip(self, models, tmp_path):
         m = models["III"]
@@ -183,15 +260,48 @@ class TestManifests:
         assert loaded.potential == models["IX"].potential
         assert loaded.metric == models["IX"].metric
 
-    def test_perturbed_potential_fails_admissibility(self, models, tmp_path):
+    def test_perturbed_potential_fails_field_invariance(self, models, tmp_path):
         text = export_manifest(models["I"]).replace("A2 = beta0", "A2 = beta0 + u1^2")
         path = tmp_path / "bad.manifest"
         path.write_text(text)
         loaded, _ = load_manifest(str(path))
         rep = run_verification(loaded, samples=5, seed=0)
         assert not rep.passed
-        failing = [c for c in rep.checks if c.verdict == "fail"]
-        assert any("admissibility" in c.name for c in failing)
+        failing = [c.name for c in rep.checks if c.verdict == "fail"]
+        assert "field invariance, generator 1" in failing
+
+    def test_gauge_shift_fails_only_the_second_order_check(self, capsys, models, tmp_path):
+        # A_i + d_i(u0 u1 u2 u3): the field F and every exact verdict stay, and
+        # only the sampled check, which holds when L_xi A = 0, reads the
+        # gauge.  ROADMAP direction 14 deletes that check; this then passes.
+        lines = export_manifest(models["II"]).splitlines()
+        for i, grad in enumerate(("u1*u2*u3", "u0*u2*u3", "u0*u1*u3", "u0*u1*u2")):
+            at = next(n for n, ln in enumerate(lines) if ln.startswith(f"A{i} = "))
+            lines[at] += f" + {grad}"
+        path = tmp_path / "gauge.manifest"
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["verify", "--manifest", str(path), "--samples", "20"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        failing = [ln for ln in out.splitlines() if "[FAIL]" in ln]
+        assert len(failing) == 1
+        assert failing[0].startswith("  [FAIL] second-order scalar conditions (numeric): ")
+
+    @pytest.mark.parametrize("case", sorted(_DEGENERATE_METRICS))
+    def test_degenerate_metric_rejected(self, capsys, models, tmp_path, case):
+        # the group acts on non-null orbits of a non-degenerate V4; each of
+        # these models passes every exact check, so the loader refuses it
+        text, message = _DEGENERATE_METRICS[case](models)
+        path = tmp_path / "degenerate.manifest"
+        path.write_text(text)
+        with pytest.raises(ManifestError) as err:
+            load_manifest(str(path))
+        assert str(err.value) == message
+        rc = cli.main(["verify", "--manifest", str(path), "--samples", "5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_degenerate_span_rejected(self, capsys, models, tmp_path):
         # d1, d2 and u2 d1 span two directions: the group does not act simply
@@ -681,36 +791,9 @@ class TestMetricManifest:
         assert captured.err == ""
 
 
-# a metric whose g11 overflows a double on part of the sampled range, and one
-# with g11 missing, which is singular everywhere
-_OVERFLOW_METRIC_MANIFEST = """[model]
-name = overflow
-[frame]
-xi1 = 0, 1, 0, 0
-xi2 = 0, 0, 1, 0
-xi3 = 0, 0, 0, 1
-[metric]
-g00 = -1
-g11 = 10^300*exp(30*u0)
-g22 = 1
-g33 = 1
-[potential]
-A0 = 0
-A1 = alpha0
-A2 = beta0
-A3 = gamma0
-"""
-
-
 class TestSecondOrderCheck:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            _OVERFLOW_METRIC_MANIFEST,
-            _OVERFLOW_METRIC_MANIFEST.replace("g11 = 10^300*exp(30*u0)\n", ""),
-        ],
-        ids=["overflow", "singular"],
-    )
+    # the same metric without g11 is a load error (test_degenerate_metric_rejected)
+    @pytest.mark.parametrize("text", [_OVERFLOW_METRIC_MANIFEST], ids=["overflow"])
     def test_unevaluable_pairs_fail(self, capsys, tmp_path, text):
         path = tmp_path / "m.manifest"
         path.write_text(text)
@@ -742,7 +825,8 @@ class TestSecondOrderCheck:
 
 class TestSecondOrderAccuracyAndPower:
     """The exact derivative leaves only rounding error on the catalog, and
-    the check still rejects each non-admissible A2 of the mutation table."""
+    the check still rejects each A2 of the mutation table, where L_xi A != 0
+    (the sin(u2) rows change only the gauge: ROADMAP F10)."""
 
     def test_catalog_reports_at_rounding_level(self, models):
         # the nine reports of `verify --group all` at seed 0
@@ -874,15 +958,15 @@ def test_vi_q_exact_output_is_pinned(capsys, q, fmt):
 # of the sampled second-order scalar conditions, is masked first: it may
 # differ across numpy builds.  Its verdict stays in the hashed text.
 _VERIFY_SHA256 = {
-    "I": "e6aa1133adc1af0b10972df5011d1c40dc0991c40002f732e4ed6dbec9800370",
-    "II": "153323919f9d4188f1f4db68b5fa1eaa404eaae26164942b43b22f1546e9da5d",
-    "III": "a98b04f06dbe9ce756a9544f8766b23cc0309c61f103f0f7666ebdaa73b7a525",
-    "IV": "0db7172b0c1629d669ec97781fd5cca7faba798a7a126cfb6b22395dad1bd1a0",
-    "V": "77f52f8456a3800a0412ad9e340dc1d8d8c74b0eab801b08dec6b65343b60a7d",
-    "VI": "c090628c223bd51016f0850a014915ebefc787cdd4508fd9fa195f3297be48ee",
-    "VII": "a21cf44159437797cef8de08738fa658926bacd233bc3e903815fac97f7c254c",
-    "VIII": "05bd73911f6e74872e213ecb8e6c65598bef2d8ff1639bb3bac2eee9ee0177bd",
-    "IX": "0f88b1dbeeb29f72e551392d33f3440d95d707be2b15ee80a31b2d246364eee6",
+    "I": "daaba2e2aa63dccedc645e9cd288e586f5a96f5c17405353bb6c22f8f89d85d1",
+    "II": "9e3103e473f5b3909558630e05680dfc711865479c4d522df9527aef33a72ffb",
+    "III": "5e396b6081b5fb5946e70644785c49e34ab0b1d748eb623d263185b11eac1051",
+    "IV": "898b5b2a18038169198f5736a645d74f361ad33f2b0352fc367dfc68cfa0bfe1",
+    "V": "152456e5d227c7b646e5e3268dba62ec1926272bc7cee9a1aea3b12dc3ef2c5c",
+    "VI": "350d79ccf054dcbde2dd2a24063f8f65dc886feb0d8bfed268159636609fcf3c",
+    "VII": "4d4a647c7c70939eb89445bcf1e1f63abd5270e22805707e7823d2547fbc87ea",
+    "VIII": "7cc98b1a5632a2dec59b0054b033414883bf6f78e16145fdb5390a3b7bc51718",
+    "IX": "e79d1199d5451fead2bc6a6043b77ff45968df8113619f23b952b15ff92ecd0a",
 }
 _FLOAT_RESIDUAL = re.compile(
     r'("name": "second-order scalar conditions",\s*"mode": "numeric",\s*"residual": )"[^"]*"'

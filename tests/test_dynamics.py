@@ -10,6 +10,7 @@ instead of a hang.
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -731,6 +732,17 @@ class TestUnhoistedReference:
                 errors.append((type(info.value.__context__), str(info.value)))
             assert errors[0] == errors[1]
             assert errors[0][0] is want[0]
+
+    @pytest.mark.parametrize("tag", catalog.TAGS)
+    def test_kernel_lines_write_no_identity_factors(self, models, tag):
+        # 1.0*x, -1.0*x and a+-b are written x, -x and a-b; the bit-identical
+        # tests above show that the floats do not change
+        inst = standard_instance(models[tag])
+        entries = inst._entries()
+        for flow in (True, False):
+            names = dynamics._kernel_names(entries, flow)
+            for line in ex.numeric_lines([entries[n] for n in names], names, inst.params):
+                assert not re.search(r"(?<![\w.])1\.0\*|\((-)?1\.0\)\*|\+-", line), line
 
     @pytest.mark.parametrize(
         "tag, calls, unhoisted_calls",
