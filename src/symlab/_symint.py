@@ -260,9 +260,19 @@ def _block_exponential(A, i):
 
 def det(m: Sequence[Sequence]):
     """Determinant of a square matrix of ``Expr`` or float entries, by
-    expansion along the first row; a zero entry contributes no minor."""
+    expansion along the first row; a zero entry contributes no minor.  A 2x2
+    matrix is the base case: a*d - b*c, with the operations the expansion
+    would perform, in its order."""
     if len(m) == 1:
         return m[0][0]
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        total = a * 0
+        if a:
+            total = total + a * d
+        if b:
+            total = total - b * c
+        return total
     total = m[0][0] * 0
     for j, x in enumerate(m[0]):
         if x:

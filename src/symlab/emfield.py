@@ -165,15 +165,16 @@ def admissibility_residual(A: Potential, F: Optional[FieldTensor], X: VectorFiel
     """(L_X A)_i: the Lie derivative of the potential along X, zero iff the
     field is admissible in A's own gauge (chi = 0), so A + d lambda can fail
     it with the same F.  The gauge-free test is L_X F = 0
-    (``compatibility_residual``), which ``verify`` runs; this residual backs
-    the type IX erratum.  It is the covariant Lie derivative that the
-    Killing and field-invariance checks take of g and F; F = dA is not
-    read."""
+    (``compatibility_residual``), which ``verify`` runs; the type IX
+    erratum tests L_X A = 0 with ``geometry.lie_derivative_vanishes``.  It is
+    the covariant Lie derivative that the Killing and field-invariance
+    checks take of g and F; F = dA is not read."""
     return _lie_derivative(A.components, X)
 
 
 def compatibility_residual(F: FieldTensor, X: VectorField):
-    """(L_X F)_ij: the Lie derivative of the field tensor along X."""
+    """(L_X F)_ij: the Lie derivative of the field tensor along X, the plain
+    residual that a failing check prints."""
     return _lie_derivative(F.entries, X)
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "differentiate",
     "canonicalize",
     "is_zero",
+    "clearing_monomial",
     "evaluate",
     "coord",
     "param",
@@ -301,10 +302,40 @@ def _due(pows, trig):
     return (units[0], units[1]) if len(units) > 1 else None
 
 
+@functools.lru_cache(maxsize=_SKEY_CACHE_SIZE)
+def _unit_product(ka, kb):
+    """Product-to-sum of the trig units ``ka`` and ``kb``: two (sign, unit)
+    pairs, read as sign/2 times the unit, where a unit of None is cos(0) = 1
+    and sin(0) is left out.  A pure function of canonical keys, cached as
+    ``_tuple_skey`` is; equal keys hold equal leaves, so a hit returns what
+    the call would."""
+    (fa, la), (fb, lb) = ka, kb
+    plus = lf_add(la, lb)
+    minus = lf_add(la, lf_neg(lb))
+    if fa == "sin" and fb == "sin":
+        combos = [(1, "cos", minus), (-1, "cos", plus)]
+    elif fa == "cos" and fb == "cos":
+        combos = [(1, "cos", minus), (1, "cos", plus)]
+    elif fa == "sin":
+        combos = [(1, "sin", plus), (1, "sin", minus)]
+    else:  # cos * sin
+        combos = [(1, "sin", plus), (-1, "sin", minus)]
+    out = []
+    for sg, fn, lf in combos:
+        s, lf = _lf_norm_sign(lf)
+        if not lf_is_zero(lf):
+            out.append((-sg if s < 0 and fn == "sin" else sg, (fn, lf)))
+        elif fn == "cos":
+            out.append((sg, None))
+    return tuple(out)
+
+
 def _rewrite(coeff, pows, trig, due):
     """The terms, with zero powers dropped, of one rewrite of a raw product:
     cos(x)^m = cos(x)^(m-2) * (1 - sin(x)^2) for a constant angle, or
-    product-to-sum of two trig units, the new unit appended last."""
+    product-to-sum of two trig units, the new unit appended last.  The sums
+    and differences of the two units' arguments are formed once per pair of
+    units (``_unit_product``)."""
     if due[0] == "tc":
         sin_key = ("tc", "sin", due[2], due[3])
         p = {**pows, due: pows[due] - 2}
@@ -314,30 +345,14 @@ def _rewrite(coeff, pows, trig, due):
     base = dict(trig)
     base[ka] -= 1
     base[kb] -= 1
-    (fa, la), (fb, lb) = ka, kb
-    plus = lf_add(la, lb)
-    minus = lf_add(la, lf_neg(lb))
     # an even int halves to an int; Fraction arithmetic costs far more
     half = coeff // 2 if type(coeff) is int and not coeff % 2 else coeff * _HALF
-    if fa == "sin" and fb == "sin":
-        combos = [(half, "cos", minus), (-half, "cos", plus)]
-    elif fa == "cos" and fb == "cos":
-        combos = [(half, "cos", minus), (half, "cos", plus)]
-    elif fa == "sin":
-        combos = [(half, "sin", plus), (half, "sin", minus)]
-    else:  # cos * sin
-        combos = [(half, "sin", plus), (-half, "sin", minus)]
     out = []
-    for c, fn, lf in combos:
-        s, lf = _lf_norm_sign(lf)
+    for sg, unit in _unit_product(ka, kb):
         d = dict(base)
-        if not lf_is_zero(lf):
-            if s < 0 and fn == "sin":
-                c = -c
-            d[(fn, lf)] = d.get((fn, lf), 0) + 1
-        elif fn == "sin":
-            continue  # sin(0) = 0; cos(0) = 1 adds no unit
-        out.append((c, pows, {k: e for k, e in d.items() if e}))
+        if unit is not None:
+            d[unit] = d.get(unit, 0) + 1
+        out.append((half if sg > 0 else -half, pows, {k: e for k, e in d.items() if e}))
     return out
 
 
@@ -796,22 +811,32 @@ def canonicalize(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _clear_negative_powers(num) -> tuple:
-    """Multiply through by enough positive powers to clear negative exponents."""
+def clearing_monomial(exprs: Iterable[Expr]) -> Expr:
+    """The monomial D with the least positive powers for which the numerator
+    of D*e has no negative power, for every e in ``exprs``; ONE when none
+    has one.  Its factors are sorted, so it does not depend on the order in
+    which they were met.  D is nonzero wherever the expressions are defined,
+    so D times an expression is zero exactly when the expression is."""
     need_pows: dict = {}
     need_trig: dict = {}
-    for m in num:
-        for key, e in m.pows:
-            if e < 0:
-                need_pows[key] = max(need_pows.get(key, 0), -e)
-        for fn, lf, e in m.trig:
-            if e < 0:
-                need_trig[(fn, lf)] = max(need_trig.get((fn, lf), 0), -e)
+    for e in exprs:
+        for m in e.num:
+            for key, n in m.pows:
+                if n < 0:
+                    need_pows[key] = max(need_pows.get(key, 0), -n)
+            for fn, lf, n in m.trig:
+                if n < 0:
+                    need_trig[(fn, lf)] = max(need_trig.get((fn, lf), 0), -n)
     if not need_pows and not need_trig:
-        return num
-    trig = tuple((fn, lf, e) for (fn, lf), e in need_trig.items())
-    factor = Mono(1, tuple(need_pows.items()), LF_ZERO, trig)
-    return _combine(x for m in num for x in _mono_mul(m, factor))
+        return ONE
+    trig = _sorted((fn, lf, n) for (fn, lf), n in need_trig.items())
+    return Expr((Mono(1, _sorted(need_pows.items()), LF_ZERO, trig),))
+
+
+def _clear_negative_powers(num) -> tuple:
+    """Multiply through by enough positive powers to clear negative exponents."""
+    d = clearing_monomial([Expr(num)])
+    return num if d is ONE else _sum_mul(num, d.num)
 
 
 class Assignment:

@@ -981,6 +981,27 @@ def test_verify_output_is_pinned(capsys, group):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[group]
 
 
+# sha256 of `verify --group G --samples 5 --seed 0 --format json` stdout when
+# model G carries a _FAILING_INPUTS mutation, masked as above.  The zero test
+# clears denominators before it multiplies, but a failing check still prints
+# the first nonzero entry of the plain residual, as these bytes show.
+_FAILING_VERIFY_SHA256 = {
+    ("IX", _g11_plus_u2): "46f0aaa57594d638d5385a33a063cd0a296ecfad947895c4ab60e8a5dc5c9c85",
+    ("II", _a2_plus_u1_squared): "f99b8f30ea89243d3b7d797ed999c28bc02d4e27d926c98774d65065d31850ec",
+}
+
+
+@pytest.mark.parametrize(
+    "group, mutate", list(_FAILING_VERIFY_SHA256), ids=[f"{t}-{f.__name__}" for t, f in _FAILING_VERIFY_SHA256]
+)
+def test_failing_report_is_pinned(capsys, monkeypatch, models, group, mutate):
+    monkeypatch.setattr(cli, "get_model", lambda tag: mutate(models[tag]))
+    assert cli.main(["verify", "--group", group, "--samples", "5", "--seed", "0", "--format", "json"]) == 1
+    out, masked = _FLOAT_RESIDUAL.subn(r'\1"masked"', capsys.readouterr().out)
+    assert masked == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == _FAILING_VERIFY_SHA256[(group, mutate)]
+
+
 # sha256 of `simulate --group G --tau 1` stdout followed by its stderr: every
 # trajectory row with repr floats, then the drift and step-statistics lines;
 # the same under PYTHONHASHSEED 1, 2 and 3.  The rows come from the C

@@ -25,6 +25,7 @@ from symlab.geometry import (
     metric_sample,
     structure_constants_from_frame,
 )
+from test_cli import _FAILING_INPUTS
 
 D1 = VectorField.spatial(1, 0, 0)
 D2 = VectorField.spatial(0, 1, 0)
@@ -206,6 +207,52 @@ class TestKilling:
             a = catalog.random_model_assignment(m, rng)
             for e in exprs:
                 assert abs(ex.evaluate(e, a)) < NUMERIC_TOL
+
+
+def _lie_cases(models):
+    """(label, tag, T, X): g, F and each coframe form, padded as
+    ``coframe_is_invariant`` pads it, under every generator of the nine
+    models; g and F of every _FAILING_INPUTS mutant; a covector with a
+    negative coordinate power and one with a sum denominator."""
+    cases = []
+    for tag, m in models.items():
+        for a, X in enumerate(m.frame):
+            cases.append((f"g xi{a + 1}", tag, m.metric.entries, X))
+            cases.append((f"F xi{a + 1}", tag, m.field.entries, X))
+            for s, form in enumerate(m.coframe.forms):
+                cases.append((f"s{s + 1} xi{a + 1}", tag, (ex.number(0),) + form, X))
+    for tag, mutate, _failing in _FAILING_INPUTS:
+        m = mutate(models[tag])
+        for a, X in enumerate(m.frame):
+            cases.append((f"{mutate.__name__} g xi{a + 1}", tag, m.metric.entries, X))
+            cases.append((f"{mutate.__name__} F xi{a + 1}", tag, m.field.entries, X))
+    z = ex.number(0)
+    for label, T in (("1/u1", (z, parse("u2/u1"), z, z)), ("1/(1 + u1^2)", (z, parse("1/(1 + u1^2)"), z, z))):
+        for name, X in (("d2", D2), ("u1 d1", U1_D1), ("IX xi2", models["IX"].frame[1])):
+            cases.append((f"{label} {name}", None, T, X))
+    return cases
+
+
+class TestLieDerivativeZeroTest:
+    def test_agrees_with_plain_residual(self, models):
+        # the cleared zero test against is_zero on every plain entry
+        verdicts = {}
+        for label, tag, T, X in _lie_cases(models):
+            res = geometry._lie_derivative(T, X)
+            plain = all(is_zero(c) for c in (res if isinstance(res[0], ex.Expr) else sum(res, ())))
+            assert geometry.lie_derivative_vanishes(T, X) == plain, (tag, label)
+            verdicts.setdefault(tag, set()).add(plain)
+        assert verdicts["IX"] == {True, False}
+        assert verdicts[None] == {True, False}
+
+    def test_clearing_reaches_the_zero_sum(self, models):
+        # IX's quotient generators: the plain Killing residual does not
+        # collapse, the cleared one is the empty sum
+        m = models["IX"]
+        plain = killing_residual(m.metric, m.frame[1])
+        cleared = geometry._lie_derivative(m.metric.entries, m.frame[1], cleared=True)
+        assert any(plain[i][j] for i in range(4) for j in range(4))
+        assert not any(cleared[i][j] for i in range(4) for j in range(4))
 
 
 class TestCoframe:
